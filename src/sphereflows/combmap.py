@@ -13,8 +13,14 @@ Identification up to *all* homeomorphisms (the default everywhere in this
 package) additionally quotients by orientation reversal, which on rotation
 systems is ``sigma -> sigma^-1``.  Equivalence is decided through canonical
 codes: the lexicographic minimum, over all start darts and (if allowed) both
-orientations, of a breadth-first relabeling trace.  Codes serialize to the
-text token ``E:<n>;s:<...>;a:<...>;m:<kind,label|->`` used as catalog key.
+orientations, of a breadth-first relabeling trace.  One kernel computes it,
+comparing each start's trace with the least so far while emitting it and
+abandoning the start at its first larger entry; it returns the least trace
+and every start that attains it.  A mark's code is that trace followed by
+the least mark value over those winning starts, so one kernel run per map
+and reflection mode serves the map and every mark on it.  Codes serialize
+to the text token ``E:<n>;s:<...>;a:<...>;m:<kind,label|->`` used as
+catalog key.
 """
 
 from __future__ import annotations
@@ -101,6 +107,36 @@ def _is_transitive(sigma, alpha) -> bool:
                 count += 1
                 stack.append(x)
     return count == n
+
+
+def _n_cycles(p) -> int:
+    n = len(p)
+    seen = bytearray(n)
+    count = 0
+    for d in range(n):
+        if not seen[d]:
+            count += 1
+            while not seen[d]:
+                seen[d] = 1
+                d = p[d]
+    return count
+
+
+def sphere_failures(sigma, alpha) -> list:
+    """Which of "NotConnected" and "NotSpherical" the rotation system violates.
+
+    Spherical means Euler's formula ``V - E + F = 2`` with ``E = n / 2``,
+    vertices the cycles of ``sigma`` and faces those of ``sigma∘alpha``.
+    With a fixed-point-free involution ``alpha``, an empty list means a valid
+    map.
+    """
+    failures = []
+    if not _is_transitive(sigma, alpha):
+        failures.append("NotConnected")
+    phi = [sigma[a] for a in alpha]
+    if _n_cycles(sigma) - len(sigma) // 2 + _n_cycles(phi) != 2:
+        failures.append("NotSpherical")
+    return failures
 
 
 def renormalize(sigma: Sequence[int], alpha: Sequence[int]):
@@ -232,58 +268,108 @@ class CanonicalCode:
         return CombinatorialMap(self.sigma_images, self.alpha_images)
 
 
-def _bfs_trace(sig, alpha, start, n):
-    """Breadth-first relabeling from ``start``: returns (labels, trace).
+def _least_trace(sigma, alpha, allow_reflection: bool = True):
+    """The least BFS relabeling trace of a connected map, and who attains it.
 
-    Labels are assigned in first-visit order; from each labeled dart the
-    rotation successor is visited before the edge partner.  The trace lists,
-    for labels 0..n-1, the pair (label of successor, label of partner).
+    From a start dart, darts are labeled in first-visit order of a
+    breadth-first walk that visits a dart's rotation successor before its
+    edge partner; the trace lists, for labels ``0..n-1`` in turn, the label
+    of the successor and then the label of the partner.  Each entry is
+    compared with the least trace so far as soon as it is emitted, and the
+    start is abandoned at its first larger entry, so only starts that tie or
+    win are walked to the end.  Starts range over all darts and, with
+    ``allow_reflection``, also over the reversed rotation ``sigma^-1``.
+
+    Returns ``(trace, winners)``: the least trace as a tuple, and the
+    ``(reflected, labels)`` of every start that attains it (one per
+    automorphism of the map, orientation-reversing ones included when
+    reflection is allowed).
     """
-    labels = [-1] * n
-    labels[start] = 0
-    order = [start]
-    for d in order:
-        s = sig[d]
-        if labels[s] < 0:
-            labels[s] = len(order)
-            order.append(s)
-        a = alpha[d]
-        if labels[a] < 0:
-            labels[a] = len(order)
-            order.append(a)
-    trace = []
-    for d in order:
-        trace.append(labels[sig[d]])
-        trace.append(labels[alpha[d]])
-    return labels, trace
+    n = len(sigma)
+    orientations = [(False, sigma)]
+    if allow_reflection:
+        orientations.append((True, perm_inverse(sigma)))
+    best = None
+    winners = []
+    for reflected, sig in orientations:
+        for start in range(n):
+            labels = [-1] * n
+            labels[start] = 0
+            order = [start]
+            # ``trace`` stays None while this start ties with ``best``; it
+            # holds the full trace once this start is known to be smaller
+            trace = [] if best is None else None
+            k = 0
+            for d in order:
+                x = sig[d]
+                v = labels[x]
+                if v < 0:
+                    v = labels[x] = len(order)
+                    order.append(x)
+                if trace is not None:
+                    trace.append(v)
+                elif v != best[k]:
+                    if v > best[k]:
+                        break
+                    trace = best[:k]
+                    trace.append(v)
+                k += 1
+                x = alpha[d]
+                v = labels[x]
+                if v < 0:
+                    v = labels[x] = len(order)
+                    order.append(x)
+                if trace is not None:
+                    trace.append(v)
+                elif v != best[k]:
+                    if v > best[k]:
+                        break
+                    trace = best[:k]
+                    trace.append(v)
+                k += 1
+            else:
+                if trace is None:
+                    winners.append((reflected, labels))
+                else:
+                    if len(order) < n:
+                        raise ValueError("canonical codes need a connected map")
+                    best = trace
+                    winners = [(reflected, labels)]
+    return tuple(best), winners
+
+
+def _with_mark(code: CanonicalCode, winners, alpha,
+               mark: MapMark) -> CanonicalCode:
+    """``code`` completed by the least mark value over the winning starts.
+
+    All winners share the least trace, so this equals the minimum over every
+    start of the trace followed by the mark's value.
+    """
+    value = min(mark.trace_value(labels, alpha, reflected)
+                for reflected, labels in winners)
+    return CanonicalCode(code.n_edges, code.sigma_images, code.alpha_images,
+                         (mark.kind, value))
+
+
+def _code_and_winners(sigma, alpha, allow_reflection: bool):
+    """The unmarked canonical code and the winners of :func:`_least_trace`."""
+    trace, winners = _least_trace(sigma, alpha, allow_reflection)
+    return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
 
 
 def canonical_code_for(sigma, alpha, mark: Optional[MapMark] = None,
                        allow_reflection: bool = True) -> CanonicalCode:
-    """Canonical code of the (marked) map given by raw permutations.
+    """Canonical code of the connected (marked) map given by raw permutations.
 
-    The code is the lexicographic minimum over all start darts and, with
-    ``allow_reflection``, both orientations of the BFS relabeling trace,
-    followed by the mark's trace value when a mark is present.
+    The code is the least BFS relabeling trace over all start darts and,
+    with ``allow_reflection``, both orientations (see :func:`_least_trace`,
+    which abandons each start at its first entry above the least so far).
+    A mark adds the least of its trace values over the starts that attain
+    that trace, which is the lexicographic minimum of the trace followed by
+    the mark value over all starts.
     """
-    n = len(sigma)
-    orientations = [(False, tuple(sigma))]
-    if allow_reflection:
-        orientations.append((True, perm_inverse(sigma)))
-    best = None
-    for reflected, sig in orientations:
-        for start in range(n):
-            labels, trace = _bfs_trace(sig, alpha, start, n)
-            if mark is not None:
-                trace.append(mark.trace_value(labels, alpha, reflected))
-            trace = tuple(trace)
-            if best is None or trace < best:
-                best = trace
-    if mark is None:
-        pairs, mark_field = best, None
-    else:
-        pairs, mark_field = best[:-1], (mark.kind, best[-1])
-    return CanonicalCode(n // 2, pairs[0::2], pairs[1::2], mark_field)
+    code, winners = _code_and_winners(tuple(sigma), alpha, allow_reflection)
+    return code if mark is None else _with_mark(code, winners, alpha, mark)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +402,9 @@ class CombinatorialMap:
         if not _is_permutation(sigma) or not _is_permutation(alpha):
             raise ValueError("sigma and alpha must be permutations of 0..2E-1")
         self._sigma, self._alpha, _ = renormalize(sigma, alpha)
-        self._code_cache = {}
+        # per reflection mode: the unmarked code and the winning starts, from
+        # which the code of every mark on this map follows
+        self._least = {}
 
     # -- basic data
 
@@ -351,13 +439,7 @@ class CombinatorialMap:
         failures = []
         if not _is_fpf_involution(self._alpha):
             failures.append("NotInvolution")
-        if not _is_transitive(self._sigma, self._alpha):
-            failures.append("NotConnected")
-        phi = tuple(self._sigma[self._alpha[d]] for d in range(self.n_darts))
-        euler = (len(perm_orbits(self._sigma)) - self.n_edges
-                 + len(perm_orbits(phi)))
-        if euler != 2:
-            failures.append("NotSpherical")
+        failures += sphere_failures(self._sigma, self._alpha)
         return ValidationResult(not failures, tuple(failures))
 
     def require_valid(self) -> "CombinatorialMap":
@@ -473,15 +555,20 @@ class CombinatorialMap:
 
     def canonical_code(self, mark: Optional[MapMark] = None,
                        allow_reflection: bool = True) -> CanonicalCode:
+        """Canonical code of the map, or of the map with ``mark``.
+
+        One kernel run per reflection mode serves the map and all its marks.
+        """
         if mark is not None:
             mark.check_on(self)
-        key = (mark, allow_reflection)
-        code = self._code_cache.get(key)
-        if code is None:
-            code = canonical_code_for(self._sigma, self._alpha, mark,
-                                      allow_reflection)
-            self._code_cache[key] = code
-        return code
+        least = self._least.get(allow_reflection)
+        if least is None:
+            least = self._least[allow_reflection] = _code_and_winners(
+                self._sigma, self._alpha, allow_reflection)
+        code, winners = least
+        if mark is None:
+            return code
+        return _with_mark(code, winners, self._alpha, mark)
 
     # -- dunder
 

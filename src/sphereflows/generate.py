@@ -3,13 +3,15 @@
 Two strategies produce the identical catalog:
 
 * ``brute`` -- the reference: alpha fixed in pair normal form, every
-  permutation of the darts tried as sigma, invalid rotation systems
-  filtered, survivors deduplicated by canonical code.
+  permutation of the darts tried as sigma, rotation systems that are not
+  connected and spherical filtered out, survivors deduplicated by
+  canonical code.
 * ``grow`` -- the default: maps with E edges are built from maps with E-1
   edges by inserting an edge between two corners of a common face or
   hanging a pendant edge in a corner.  Every connected map has an edge
-  that is either non-separating or pendant, so this reaches everything;
-  candidates are still validated and deduplicated by canonical code.
+  that is either non-separating or pendant, so this reaches everything.
+  Children are spherical by construction and need no validity filter;
+  they are deduplicated by canonical code.
 
 The returned representatives are rebuilt from their canonical codes, so the
 output is byte-identical across strategies, run order and worker counts.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 
 from .combmap import (CanonicalCode, CombinatorialMap, MapMark,
-                      canonical_code_for, normal_alpha, perm_orbits)
+                      canonical_code_for, normal_alpha, sphere_failures)
 
 MIN_EDGES = 1
 MAX_EDGES = 5
@@ -52,53 +54,37 @@ class GenerationConfig:
             raise ValueError("jobs must be >= 1")
 
 
-def _sigma_is_valid(sigma, alpha) -> bool:
-    """Connected and spherical; alpha is a normal-form involution here."""
-    n = len(sigma)
-    seen = bytearray(n)
-    stack = [0]
-    seen[0] = 1
-    count = 1
-    while stack:
-        d = stack.pop()
-        for x in (sigma[d], alpha[d]):
-            if not seen[x]:
-                seen[x] = 1
-                count += 1
-                stack.append(x)
-    if count != n:
-        return False
-    v = len(perm_orbits(sigma))
-    phi = tuple(sigma[alpha[d]] for d in range(n))
-    f = len(perm_orbits(phi))
-    return v - n // 2 + f == 2
-
-
 def _brute_chunk(n_edges: int, allow_reflection: bool, start: int, stop: int):
     alpha = normal_alpha(n_edges)
     codes = set()
     for sigma in islice(permutations(range(2 * n_edges)), start, stop):
-        if _sigma_is_valid(sigma, alpha):
+        if not sphere_failures(sigma, alpha):
             codes.add(canonical_code_for(sigma, alpha, None, allow_reflection))
     return codes
 
 
 def _child_sigmas(m: CombinatorialMap):
-    """All ways to add one edge to ``m`` (new darts appended at the end).
+    """All ways to add one edge to the valid map ``m``, new darts appended.
 
     The corner after dart ``c`` means the gap between ``c`` and ``sigma(c)``
-    at the source vertex of ``c``.
+    at the source vertex of ``c``; it lies in the face of ``sigma(c)``.  A
+    new edge either hangs pendant in one corner or joins two corners of one
+    face, splitting that face in two, so every child is connected and
+    spherical again.  Joining corners of different faces would leave
+    ``V - E + F = 0`` and is never tried.
     """
     n = m.n_darts
     sigma = m.sigma
     x, y = n, n + 1
-    darts = range(n)
-    for c1 in darts:
+    corners_of_face = [[] for _ in m.face_orbits]
+    for c in range(n):
+        corners_of_face[m.face_of(sigma[c])].append(c)
+    for c1 in range(n):
         # pendant edge in the corner after c1
         s = list(sigma) + [0, y]
         s[c1], s[x] = x, sigma[c1]
         yield tuple(s)
-        for c2 in darts:
+        for c2 in corners_of_face[m.face_of(sigma[c1])]:
             if c1 == c2:
                 # both ends of a loop in one corner, both nestings
                 s = list(sigma) + [y, sigma[c1]]
@@ -119,8 +105,7 @@ def _grow_chunk(parent_tokens, allow_reflection: bool):
         parent = CanonicalCode.from_token(token).to_map()
         alpha = normal_alpha(parent.n_edges + 1)
         for sigma in _child_sigmas(parent):
-            if _sigma_is_valid(sigma, alpha):
-                codes.add(canonical_code_for(sigma, alpha, None, allow_reflection))
+            codes.add(canonical_code_for(sigma, alpha, None, allow_reflection))
     return codes
 
 

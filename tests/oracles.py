@@ -1,10 +1,13 @@
-"""Brute-force equivalence oracles.
+"""Brute-force equivalence oracles and the plain canonical trace.
 
 These decide map and marked-map equivalence by exhaustive search over all
 dart bijections, never touching the canonical-code machinery they are used
 to check.  Orientation reversal is handled by inverting the first map's
 rotation; a sink selection then moves to the partner dart because the faces
 left and right of a dart swap when the orientation flips.
+
+``bfs_trace`` is the relabeling trace of one start dart, built in full with
+no comparison: the reference for the early-abort kernel in ``combmap``.
 """
 
 from itertools import permutations
@@ -49,3 +52,44 @@ def marked_isomorphic(mm1, mm2, allow_reflection=True):
         dd = m1.alpha[d1] if mm1.mark.kind == "sink" else d1
         return _search(_inv(m1.sigma), m1.alpha, m2.sigma, m2.alpha, dd, d2)
     return False
+
+
+def bfs_trace(sig, alpha, start):
+    """Breadth-first relabeling from ``start``: returns (labels, trace).
+
+    Labels are assigned in first-visit order; from each labeled dart the
+    rotation successor is visited before the edge partner.  The trace lists,
+    for labels 0..n-1, the pair (label of successor, label of partner).
+    """
+    n = len(sig)
+    labels = [-1] * n
+    labels[start] = 0
+    order = [start]
+    for d in order:
+        s = sig[d]
+        if labels[s] < 0:
+            labels[s] = len(order)
+            order.append(s)
+        a = alpha[d]
+        if labels[a] < 0:
+            labels[a] = len(order)
+            order.append(a)
+    trace = []
+    for d in order:
+        trace.append(labels[sig[d]])
+        trace.append(labels[alpha[d]])
+    return labels, trace
+
+
+def all_traces(m, allow_reflection=True):
+    """``(trace, reflected, labels)`` of every start of ``m``, in both
+    orientations when reflection is allowed."""
+    orientations = [(False, m.sigma)]
+    if allow_reflection:
+        orientations.append((True, _inv(m.sigma)))
+    out = []
+    for reflected, sig in orientations:
+        for start in range(m.n_darts):
+            labels, trace = bfs_trace(sig, m.alpha, start)
+            out.append((tuple(trace), reflected, labels))
+    return out

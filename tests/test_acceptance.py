@@ -7,11 +7,14 @@ fail with the computed truth in the message; `sphereflows verify-paper` and
 the README document the discrepancy analysis.  Everything else is green.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sphereflows
 from sphereflows import (GenerationConfig, MarkedMap, TMark,
                          are_equivalent, enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
@@ -223,8 +226,12 @@ def test_criterion_6_every_enumerated_object():
 # -- criterion 7: determinism -------------------------------------------------
 
 def run_cli(args, cwd):
+    # an absolute path, so that the package imports from any cwd
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-m", "sphereflows", *args],
-                          capture_output=True, text=True, cwd=cwd, check=True)
+                          capture_output=True, text=True, cwd=cwd, check=True,
+                          env=env)
 
 
 @pytest.mark.parametrize("command", [

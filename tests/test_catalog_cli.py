@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sphereflows
 from sphereflows import GenerationConfig, MarkedMap, SourceMark, realize
 from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  UnknownCodeError, UnsupportedFormatError,
@@ -14,8 +17,11 @@ from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
 
 
 def run_cli(*args, cwd=None):
+    # an absolute path, so that the package imports from any cwd
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-m", "sphereflows", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +186,17 @@ class TestCli:
     def test_bifurcations_out_of_range_exits_2(self, tmp_path):
         res = run_cli("bifurcations", "saddle-connection", "1", cwd=tmp_path)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command", [
+        ("maps", "3"),
+        ("bifurcations", "saddle-node", "2"),
+        ("verify-paper",),
+    ])
+    def test_jobs_below_one_exits_2(self, command, tmp_path):
+        res = run_cli(*command, "--jobs", "0", cwd=tmp_path)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["error: --jobs must be at least 1, got 0"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exits_2(self):
         res = run_cli("maps")

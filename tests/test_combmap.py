@@ -4,10 +4,11 @@ import pytest
 
 from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          InvalidMarkError, KindMismatchError, MarkedMap,
-                         SinkMark, SourceMark, are_equivalent, generate_maps)
-from sphereflows.combmap import normal_alpha
+                         SinkMark, SourceMark, TMark, are_equivalent,
+                         generate_maps)
+from sphereflows.combmap import _least_trace, normal_alpha
 
-from oracles import maps_isomorphic
+from oracles import all_traces, maps_isomorphic
 
 
 def all_maps(max_edges=3, reflection=True):
@@ -102,6 +103,69 @@ class TestDual:
     def test_dual_degrees_are_face_degrees(self):
         for m in generate_maps(GenerationConfig(4)):
             assert m.dual().degree_sequence() == m.face_degree_sequence()
+
+
+def with_scrambled_copies(maps, seed):
+    """Each map, then a relabeled copy, so the winning starts are not always
+    the first darts the kernel tries."""
+    rng = random.Random(seed)
+    for m in maps:
+        yield m
+        pi = list(range(m.n_darts))
+        rng.shuffle(pi)
+        yield m.relabel(pi)
+
+
+def mark_candidates(m, saddles=4):
+    """Every source, sink and T candidate on ``m`` with at most ``saddles``
+    saddles (E for source and sink marks, E - 1 for T marks)."""
+    out = []
+    if m.n_edges <= saddles:
+        out += [SourceMark(d) for d in range(m.n_darts) if not m.is_loop(d)]
+        out += [SinkMark(d) for d in range(m.n_darts) if not m.is_bridge(d)]
+    if m.n_edges - 1 <= saddles:
+        for orbit in m.vertex_orbits:
+            if len(orbit) == 3 and not any(m.alpha[d] in orbit for d in orbit):
+                out += [TMark(d) for d in orbit]
+    return out
+
+
+class TestLeastTraceKernel:
+    """The early-abort kernel against the full trace of every start."""
+
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+    def test_least_trace_and_every_winner(self, e, reflection):
+        maps = generate_maps(GenerationConfig(e, reflection))
+        for m in with_scrambled_copies(maps, seed=e):
+            traces = all_traces(m, reflection)
+            least = min(t for t, _, _ in traces)
+            trace, winners = _least_trace(m.sigma, m.alpha, reflection)
+            assert trace == least
+            expected = sorted((r, labels) for t, r, labels in traces
+                              if t == least)
+            # one winning start per automorphism: dropping a tying start
+            # changes this count
+            assert len(winners) == len(expected)
+            assert sorted(winners) == expected
+
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+    def test_mark_code_is_least_trace_then_mark_value(self, e, reflection):
+        maps = generate_maps(GenerationConfig(e, reflection))
+        for m in with_scrambled_copies(maps, seed=10 + e):
+            traces = all_traces(m, reflection)
+            for mark in mark_candidates(m):
+                best = min(t + (mark.trace_value(labels, m.alpha, r),)
+                           for t, r, labels in traces)
+                expected = CanonicalCode(e, best[:-1:2], best[1:-1:2],
+                                         (mark.kind, best[-1]))
+                assert m.canonical_code(mark, reflection) == expected, mark
+
+    def test_disconnected_map_has_no_code(self):
+        m = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
+        with pytest.raises(ValueError):
+            m.canonical_code()
 
 
 class TestCanonicalCode:

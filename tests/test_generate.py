@@ -7,7 +7,9 @@ import sphereflows.generate as gen
 from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
                          GenerationConfig, generate_maps,
                          generate_maps_with_degree3_vertex)
-from sphereflows.combmap import _bfs_trace, normal_alpha
+from sphereflows.combmap import normal_alpha
+
+from oracles import bfs_trace
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -40,7 +42,7 @@ def rooted_count(e):
     """
     total = 0
     for m in generate_maps(GenerationConfig(e, allow_reflection=False)):
-        traces = [tuple(_bfs_trace(m.sigma, m.alpha, s, m.n_darts)[1])
+        traces = [tuple(bfs_trace(m.sigma, m.alpha, s)[1])
                   for s in range(m.n_darts)]
         aut = traces.count(min(traces))
         assert (2 * m.n_edges) % aut == 0
@@ -83,6 +85,14 @@ def test_random_witnesses_hit_exactly_one_class(e):
             hits += 1
             assert m.canonical_code().token() in codes
     assert hits > 0
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_every_child_is_valid(e, reflection):
+    for m in generate_maps(GenerationConfig(e, reflection)):
+        for sigma in gen._child_sigmas(m):
+            assert CombinatorialMap(sigma).validate().ok, (m, sigma)
 
 
 def test_parallel_runs_match_serial(monkeypatch):
