@@ -9,7 +9,7 @@ from .combmap import (CanonicalCode, CombinatorialMap, InvalidMarkError,
                       KindMismatchError, ValidationResult, are_equivalent,
                       perm_from_cycles)
 from .generate import (EdgeCountOutOfRangeError, GenerationConfig,
-                       generate_maps, generate_maps_with_degree3_vertex)
+                       generate_maps)
 from .marks import (MarkedMap, NotReversibleError, SaddleConnectionCensus,
                     SaddleCountOutOfRangeError, SaddleNodeCensus, SinkMark,
                     SourceMark, TMark, enumerate_sink_marks,
@@ -26,7 +26,6 @@ __all__ = [
     "KindMismatchError", "ValidationResult", "are_equivalent",
     "perm_from_cycles",
     "EdgeCountOutOfRangeError", "GenerationConfig", "generate_maps",
-    "generate_maps_with_degree3_vertex",
     "MarkedMap", "NotReversibleError", "SaddleConnectionCensus",
     "SaddleCountOutOfRangeError", "SaddleNodeCensus", "SinkMark",
     "SourceMark", "TMark", "enumerate_sink_marks", "enumerate_source_marks",

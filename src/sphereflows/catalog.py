@@ -10,9 +10,9 @@ reported with per-category deltas and explanatory notes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combmap import CanonicalCode, CombinatorialMap
 from .generate import GenerationConfig, generate_maps
@@ -55,16 +55,22 @@ def load_paper_labels() -> dict:
     return json.loads(text)["labels"]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    code: str
-    n_edges: int
-    n_vertices: int
-    n_faces: int
-    degree_sequence: tuple
-    mark: Optional[dict] = None
-    singular_points: dict = field(default_factory=dict)
-    paper_label: Optional[str] = None
+class CatalogEntry(namedtuple(
+        "CatalogEntry", "code n_edges n_vertices n_faces degree_sequence "
+                        "mark singular_points paper_label")):
+    """One catalog line; ``singular_points`` defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, code: str, n_edges: int, n_vertices: int, n_faces: int,
+                degree_sequence: tuple, mark: Optional[dict] = None,
+                singular_points: Optional[dict] = None,
+                paper_label: Optional[str] = None):
+        if singular_points is None:
+            singular_points = {}
+        return super().__new__(cls, code, n_edges, n_vertices, n_faces,
+                               degree_sequence, mark, singular_points,
+                               paper_label)
 
     def to_dict(self) -> dict:
         return {
@@ -132,8 +138,7 @@ def entry_for_marked(mm: MarkedMap, labels: Optional[dict] = None,
     )
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     kind: str
     params: dict
     entries: tuple
@@ -159,7 +164,15 @@ class Catalog:
 
     @classmethod
     def loads(cls, text: str) -> "Catalog":
-        return cls.from_json_doc(json.loads(text))
+        """Parse a catalog file; ValueError unless it is one of this schema."""
+        doc = json.loads(text)
+        try:
+            version = doc["schema_version"]
+            if version != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema_version {version!r}")
+            return cls.from_json_doc(doc)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed catalog: {exc!r}") from exc
 
     def entry(self, code: str) -> CatalogEntry:
         for e in self.entries:
@@ -214,8 +227,7 @@ def resolve_marked(entry: CatalogEntry) -> MarkedMap:
 # ---------------------------------------------------------------------------
 # census report
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     section: str
     label: str
     computed: int
@@ -232,8 +244,7 @@ class ReportRow:
                 "match": self.match, "note": self.note}
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     allow_reflection: bool
     rows: tuple
     parity: dict

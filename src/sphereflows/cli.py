@@ -1,8 +1,8 @@
 """Command line front end: deterministic catalogs, census report, exports.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, unknown codes,
-unsupported formats, out-of-range counts), 1 when an enumerated object fails
-its own structural checks.
+unsupported formats, out-of-range counts, unreadable catalogs or codes), 1
+when an enumerated object fails its own structural checks.
 """
 
 from __future__ import annotations
@@ -119,7 +119,10 @@ def cmd_verify_paper(args) -> int:
 def cmd_export(args) -> int:
     if not args.catalog.exists():
         raise UsageError(f"no such catalog file: {args.catalog}")
-    catalog = cat.Catalog.loads(args.catalog.read_text())
+    try:
+        catalog = cat.Catalog.loads(args.catalog.read_text())
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read catalog {args.catalog}: {exc}") from exc
     if args.code is not None:
         try:
             entries = [catalog.entry(args.code)]
@@ -129,7 +132,8 @@ def cmd_export(args) -> int:
         entries = list(catalog.entries)
     try:
         text = cat.export_entries(entries, args.format)
-    except cat.UnsupportedFormatError as exc:
+    except ValueError as exc:
+        # an unsupported format, or an entry whose code is not a valid map
         raise UsageError(str(exc)) from exc
     suffix = {"json": "export.json", "dot": "export.dot",
               "diagram-json": "diagrams.json"}[args.format]

@@ -25,9 +25,8 @@ catalog key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class InvalidMarkError(ValueError):
@@ -168,8 +167,7 @@ def renormalize(sigma: Sequence[int], alpha: Sequence[int]):
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of the three structural checks on a map.
 
     ``failures`` is a subset of ``{"NotInvolution", "NotConnected",
@@ -184,20 +182,37 @@ class ValidationResult:
 
 
 class MapMark:
-    """Base class for selections attached to a map.
+    """Base class for selections attached to a map: one dart, read-only.
 
     Concrete marks live in the :mod:`sphereflows.marks` module.  A mark
     contributes one value to the canonical trace via :meth:`trace_value`
-    and says there how it transports under orientation reversal.
+    and says there how it transports under orientation reversal.  Marks are
+    equal when they are of the same class and sit on the same dart.
     """
 
+    __slots__ = ("_dart",)
     kind = "?"
 
+    def __init__(self, dart: int):
+        self._dart = dart
+
+    dart = property(lambda self: self._dart, doc="The marked dart.")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._dart == other._dart
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._dart,))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(dart={self._dart!r})"
+
     def check_on(self, m: "CombinatorialMap") -> None:
-        dart = getattr(self, "dart", None)
-        if dart is not None and not (0 <= dart < m.n_darts):
+        if not 0 <= self.dart < m.n_darts:
             raise InvalidMarkError(
-                f"mark dart {dart} outside dart range 0..{m.n_darts - 1}")
+                f"mark dart {self.dart} outside dart range 0..{m.n_darts - 1}")
 
     def validate_on(self, m: "CombinatorialMap") -> None:
         """Raise InvalidMarkError unless the mark is legal on ``m``."""
@@ -209,16 +224,16 @@ class MapMark:
 # ---------------------------------------------------------------------------
 # canonical codes
 
-_KIND_RANK = {None: 0, "source": 1, "sink": 2, "t": 3, "vertex": 4}
+_KIND_RANK = {None: 0, "source": 1, "sink": 2, "t": 3}
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Total-order key identifying a (marked) map up to homeomorphism.
 
     ``sigma_images[i]`` and ``alpha_images[i]`` are the canonical labels of
     the rotation successor and edge partner of the dart with label ``i``.
-    ``mark`` is ``(kind, label)`` or ``None``.
+    ``mark`` is ``(kind, label)`` or ``None``.  Codes order by
+    :attr:`sort_key`, not by their raw fields.
     """
 
     n_edges: int
@@ -238,6 +253,12 @@ class CanonicalCode:
     def __le__(self, other):
         return self.sort_key <= other.sort_key
 
+    def __gt__(self, other):
+        return self.sort_key > other.sort_key
+
+    def __ge__(self, other):
+        return self.sort_key >= other.sort_key
+
     def token(self) -> str:
         """Serialize to the catalog key ``E:..;s:..;a:..;m:..``."""
         s = ",".join(map(str, self.sigma_images))
@@ -250,6 +271,7 @@ class CanonicalCode:
 
     @classmethod
     def from_token(cls, token: str) -> "CanonicalCode":
+        """Parse a catalog key; ValueError unless its map and mark are sound."""
         try:
             fields = dict(part.split(":", 1) for part in token.split(";"))
             n_edges = int(fields["E"])
@@ -259,8 +281,14 @@ class CanonicalCode:
             if fields["m"] != "-":
                 kind, label = fields["m"].split(",")
                 mark = (kind, int(label))
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed code token: {token!r}") from exc
+        if (len(sigma) != 2 * n_edges or len(alpha) != len(sigma)
+                or not _is_permutation(sigma) or not _is_permutation(alpha)):
+            raise ValueError(f"code token is not a map on 2E darts: {token!r}")
+        if mark is not None and (mark[0] not in _KIND_RANK
+                                 or not 0 <= mark[1] < len(sigma)):
+            raise ValueError(f"code token has an invalid mark: {token!r}")
         return cls(n_edges, sigma, alpha, mark)
 
     def to_map(self) -> "CombinatorialMap":

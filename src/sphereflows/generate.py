@@ -20,12 +20,11 @@ output is byte-identical across strategies, run order and worker counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import islice, permutations
 
-from .combmap import (CanonicalCode, CombinatorialMap, MapMark,
-                      canonical_code_for, normal_alpha, sphere_failures)
+from .combmap import (CanonicalCode, CombinatorialMap, canonical_code_for,
+                      normal_alpha, sphere_failures)
 
 MIN_EDGES = 1
 MAX_EDGES = 5
@@ -35,23 +34,22 @@ class EdgeCountOutOfRangeError(ValueError):
     """Edge count outside the supported range 1..5."""
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(namedtuple("GenerationConfig",
+                                  "n_edges allow_reflection jobs")):
     """Parameters of a generation run.
 
     ``jobs`` is a worker-count hint; results do not depend on it.
     """
 
-    n_edges: int
-    allow_reflection: bool = True
-    jobs: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (MIN_EDGES <= self.n_edges <= MAX_EDGES):
+    def __new__(cls, n_edges: int, allow_reflection: bool = True, jobs: int = 1):
+        if not (MIN_EDGES <= n_edges <= MAX_EDGES):
             raise EdgeCountOutOfRangeError(
-                f"n_edges must be in {MIN_EDGES}..{MAX_EDGES}, got {self.n_edges}")
-        if self.jobs < 1:
+                f"n_edges must be in {MIN_EDGES}..{MAX_EDGES}, got {n_edges}")
+        if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        return super().__new__(cls, n_edges, allow_reflection, jobs)
 
 
 def _brute_chunk(n_edges: int, allow_reflection: bool, start: int, stop: int):
@@ -119,6 +117,9 @@ def _run_sharded(worker, arg_chunks, jobs):
     if jobs <= 1 or len(arg_chunks) <= 1:
         results = [worker(*args) for args in arg_chunks]
     else:
+        # imported here so that runs without workers skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, *zip(*arg_chunks)))
     merged = set()
@@ -167,37 +168,3 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "auto"):
             codes = _run_sharded(_grow_chunk, chunks, cfg.jobs)
         _cache[key] = tuple(code.to_map() for code in sorted(codes))
     return list(_cache[key])
-
-
-@dataclass(frozen=True)
-class VertexSelection(MapMark):
-    """A pseudo-mark distinguishing a vertex orbit, for pair deduplication."""
-
-    darts: tuple
-    kind = "vertex"
-
-    def check_on(self, m):
-        if any(not 0 <= d < m.n_darts for d in self.darts):
-            raise ValueError("vertex selection outside the dart range")
-
-    def trace_value(self, labels, alpha, reflected):
-        return min(labels[d] for d in self.darts)
-
-
-def generate_maps_with_degree3_vertex(cfg: GenerationConfig, strategy: str = "auto"):
-    """Pairs (map, degree-3 vertex orbit) with no loop at the vertex.
-
-    One representative per equivalence class of the pair, ordered by the
-    pair's canonical code.  These are the places a T-vertex can sit.
-    """
-    pairs = {}
-    for m in generate_maps(cfg, strategy):
-        for orbit in m.vertex_orbits:
-            if len(orbit) != 3:
-                continue
-            if any(m.alpha[d] in orbit for d in orbit):
-                continue
-            code = m.canonical_code(VertexSelection(tuple(sorted(orbit))),
-                                    allow_reflection=cfg.allow_reflection)
-            pairs.setdefault(code, (m, orbit))
-    return [pairs[code] for code in sorted(pairs)]

@@ -22,9 +22,10 @@ classes bijectively onto source-mark classes of the dual map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
-from .combmap import CombinatorialMap, InvalidMarkError, MapMark
+from .combmap import CombinatorialMap, InvalidMarkError, MapMark, renormalize
 from .generate import GenerationConfig, generate_maps
 
 T_MIN_SADDLES = 2
@@ -40,11 +41,10 @@ class NotReversibleError(ValueError):
     """Flow reversal is only defined for saddle-node marks."""
 
 
-@dataclass(frozen=True)
 class SourceMark(MapMark):
     """Selects edge(dart) and its endpoint vertex(dart); edge must not be a loop."""
 
-    dart: int
+    __slots__ = ()
     kind = "source"
 
     def validate_on(self, m):
@@ -55,11 +55,10 @@ class SourceMark(MapMark):
         return labels[self.dart]
 
 
-@dataclass(frozen=True)
 class SinkMark(MapMark):
     """Selects edge(dart) and face(dart); the edge's two faces must differ."""
 
-    dart: int
+    __slots__ = ()
     kind = "sink"
 
     def validate_on(self, m):
@@ -73,7 +72,6 @@ class SinkMark(MapMark):
         return labels[alpha[self.dart]] if reflected else labels[self.dart]
 
 
-@dataclass(frozen=True)
 class TMark(MapMark):
     """Selects the perpendicular dart at a T-vertex.
 
@@ -81,7 +79,7 @@ class TMark(MapMark):
     darts are the collinear pair, left implicit.
     """
 
-    dart: int
+    __slots__ = ()
     kind = "t"
 
     def validate_on(self, m):
@@ -98,17 +96,16 @@ class TMark(MapMark):
 Mark = SourceMark | SinkMark | TMark
 
 
-@dataclass(frozen=True)
-class MarkedMap:
+class MarkedMap(namedtuple("MarkedMap", "map mark")):
     """A valid map with exactly one mark; encodes one codimension-1 flow."""
 
-    map: CombinatorialMap
-    mark: Mark
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.map.require_valid()
-        self.mark.check_on(self.map)
-        self.mark.validate_on(self.map)
+    def __new__(cls, map: CombinatorialMap, mark: Mark):
+        map.require_valid()
+        mark.check_on(map)
+        mark.validate_on(map)
+        return super().__new__(cls, map, mark)
 
     @property
     def n_saddles(self) -> int:
@@ -136,8 +133,6 @@ def marked_map_from_code(code) -> MarkedMap:
     cls = {"source": SourceMark, "sink": SinkMark, "t": TMark}.get(kind)
     if cls is None:
         raise ValueError(f"unknown mark kind {kind!r}")
-    from .combmap import renormalize
-
     sigma, alpha, relabel = renormalize(code.sigma_images, code.alpha_images)
     return MarkedMap(CombinatorialMap(sigma, alpha), cls(relabel[label]))
 
@@ -209,8 +204,7 @@ def reverse(mm: MarkedMap) -> MarkedMap:
 # ---------------------------------------------------------------------------
 # censuses
 
-@dataclass(frozen=True)
-class SaddleNodeCensusRow:
+class SaddleNodeCensusRow(NamedTuple):
     map_code: str
     n_vertices: int
     n_faces: int
@@ -218,8 +212,7 @@ class SaddleNodeCensusRow:
     n_sink: int
 
 
-@dataclass(frozen=True)
-class SaddleNodeCensus:
+class SaddleNodeCensus(NamedTuple):
     """Class counts of saddle-node flows with a given saddle count."""
 
     n_saddles: int
@@ -233,15 +226,15 @@ class SaddleNodeCensus:
         return self.total_source + self.total_sink
 
     def source_by_vertex_count(self) -> dict:
-        out: dict = {}
-        for row in self.rows:
-            out[row.n_vertices] = out.get(row.n_vertices, 0) + row.n_source
-        return out
+        return self._by_vertex_count("n_source")
 
     def sink_by_vertex_count(self) -> dict:
+        return self._by_vertex_count("n_sink")
+
+    def _by_vertex_count(self, field: str) -> dict:
         out: dict = {}
         for row in self.rows:
-            out[row.n_vertices] = out.get(row.n_vertices, 0) + row.n_sink
+            out[row.n_vertices] = out.get(row.n_vertices, 0) + getattr(row, field)
         return out
 
 
@@ -317,14 +310,29 @@ def t_connection_category(mm: MarkedMap) -> str:
     return FAR_SIDE_ONE_EDGE if far_edges == 1 else FAR_SIDE_TWO_EDGES
 
 
-@dataclass(frozen=True)
-class SaddleConnectionCensus:
-    """Class counts of saddle-connection flows with a given saddle count."""
+class SaddleConnectionCensus(NamedTuple):
+    """Class counts of saddle-connection flows with a given saddle count.
+
+    ``by_category`` takes no part in ``==`` or ``hash``.
+    """
 
     n_saddles: int
     singular_points: int
     total: int
-    by_category: dict = field(compare=False)
+    by_category: dict
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:3] == other[:3]
+        return NotImplemented
+
+    def __ne__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:3] != other[:3]
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self[:3])
 
 
 def saddle_connection_census(n_saddles: int, *, allow_reflection: bool = True,

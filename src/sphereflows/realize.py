@@ -25,17 +25,17 @@ deterministic and can be traced back cell by cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .combmap import CombinatorialMap, InvalidMarkError
-from .marks import MarkedMap, reverse
+from .generate import GenerationConfig, generate_maps
+from .marks import (MarkedMap, enumerate_sink_marks, enumerate_source_marks,
+                    enumerate_t_marks, reverse)
 
 SADDLE_NODE_KINDS = ("saddle-node-source", "saddle-node-sink")
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """A singular point of the realized flow.
 
     ``origin`` points back into the marked map: ``("vertex", d)``,
@@ -48,8 +48,7 @@ class SingularPoint:
     origin: tuple
 
 
-@dataclass(frozen=True)
-class Separatrix:
+class Separatrix(NamedTuple):
     """A directed separatrix arc; ``anchor`` is the dart it is read off."""
 
     source: int
@@ -57,8 +56,7 @@ class Separatrix:
     anchor: int
 
 
-@dataclass(frozen=True)
-class SeparatrixDiagram:
+class SeparatrixDiagram(NamedTuple):
     points: tuple
     separatrices: tuple
     saddle_connection: Optional[tuple] = None
@@ -153,22 +151,28 @@ class SeparatrixDiagram:
         return issues
 
 
-def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
-    v0 = m.vertex_of(d0)
-    e0 = min(d0, m.alpha[d0])
-    points = []
-    vertex_point = {}
-    face_point = {}
-    saddle_point = {}
+def _morse_points(m: CombinatorialMap, skip_vertex: int):
+    """Sources for the vertices except ``skip_vertex``, then sinks for the faces.
+
+    Returns the points and the point ids by vertex and by face index.
+    """
+    points, vertex_point, face_point = [], {}, {}
     for i, orbit in enumerate(m.vertex_orbits):
-        if i != v0:
+        if i != skip_vertex:
             vertex_point[i] = len(points)
             points.append(SingularPoint(len(points), "source", ("vertex", min(orbit))))
     for i, orbit in enumerate(m.face_orbits):
         face_point[i] = len(points)
         points.append(SingularPoint(len(points), "sink", ("face", min(orbit))))
-    for e in range(m.n_edges):
-        rep = 2 * e
+    return points, vertex_point, face_point
+
+
+def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
+    v0 = m.vertex_of(d0)
+    e0 = min(d0, m.alpha[d0])
+    points, vertex_point, face_point = _morse_points(m, v0)
+    saddle_point = {}
+    for rep in range(0, m.n_darts, 2):
         if rep != e0:
             saddle_point[rep] = len(points)
             points.append(SingularPoint(len(points), "saddle", ("edge", rep)))
@@ -177,11 +181,7 @@ def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
     vertex_point[v0] = sn
 
     arcs = []
-    for e in range(m.n_edges):
-        rep = 2 * e
-        if rep == e0:
-            continue
-        s = saddle_point[rep]
+    for rep, s in saddle_point.items():
         for d in (rep, rep + 1):
             arcs.append(Separatrix(vertex_point[m.vertex_of(d)], s, d))
             arcs.append(Separatrix(s, face_point[m.face_of(d)], d))
@@ -222,34 +222,20 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
     t = m.vertex_of(p)
     a = m.sigma[p]
     b = m.sigma[a]
-    points = []
-    vertex_point = {}
-    face_point = {}
-    saddle_point = {}
-    for i, orbit in enumerate(m.vertex_orbits):
-        if i != t:
-            vertex_point[i] = len(points)
-            points.append(SingularPoint(len(points), "source", ("vertex", min(orbit))))
-    for i, orbit in enumerate(m.face_orbits):
-        face_point[i] = len(points)
-        points.append(SingularPoint(len(points), "sink", ("face", min(orbit))))
+    points, vertex_point, face_point = _morse_points(m, t)
     lower = len(points)
     points.append(SingularPoint(lower, "saddle", ("vertex", min(m.vertex_orbits[t]))))
     upper = len(points)
     points.append(SingularPoint(upper, "saddle", ("edge", min(p, m.alpha[p]))))
     skipped = {min(p, m.alpha[p]), min(a, m.alpha[a]), min(b, m.alpha[b])}
-    for e in range(m.n_edges):
-        rep = 2 * e
+    saddle_point = {}
+    for rep in range(0, m.n_darts, 2):
         if rep not in skipped:
             saddle_point[rep] = len(points)
             points.append(SingularPoint(len(points), "saddle", ("edge", rep)))
 
     arcs = []
-    for e in range(m.n_edges):
-        rep = 2 * e
-        if rep in skipped:
-            continue
-        s = saddle_point[rep]
+    for rep, s in saddle_point.items():
         for d in (rep, rep + 1):
             arcs.append(Separatrix(vertex_point[m.vertex_of(d)], s, d))
             arcs.append(Separatrix(s, face_point[m.face_of(d)], d))
@@ -292,16 +278,13 @@ def diagram_census_check(n_saddles: int, mark_kind: str, *,
     every diagram is sound and has the expected number of singular points
     (2n+1 for saddle-node flows, 2n+2 for saddle connections).
     """
-    from . import marks
-    from .generate import GenerationConfig, generate_maps
-
     if mark_kind == "t":
-        classes = marks.enumerate_t_marks(
+        classes = enumerate_t_marks(
             n_saddles, allow_reflection=allow_reflection, jobs=jobs)
         expected_points = 2 * n_saddles + 2
     elif mark_kind in ("source", "sink"):
-        enum = (marks.enumerate_source_marks if mark_kind == "source"
-                else marks.enumerate_sink_marks)
+        enum = (enumerate_source_marks if mark_kind == "source"
+                else enumerate_sink_marks)
         cfg = GenerationConfig(n_saddles, allow_reflection, jobs)
         classes = [mm for m in generate_maps(cfg)
                    for mm in enum(m, allow_reflection=allow_reflection)]

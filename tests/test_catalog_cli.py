@@ -222,3 +222,49 @@ class TestCli:
         res = run_cli("export", str(tmp_path / "absent.json"),
                       "--format", "json")
         assert res.returncode == 2
+
+
+def damage_catalog(doc, damage):
+    """A catalog file's text with one defect."""
+    if damage == "not-json":
+        return "{not json"
+    if damage == "not-an-object":
+        return "[]"
+    if damage.startswith("no-"):
+        key = damage[3:]
+        if key in doc:
+            del doc[key]
+        else:
+            del doc["entries"][0][key]
+    elif damage == "schema-999":
+        doc["schema_version"] = 999
+    elif damage == "bad-token":
+        doc["entries"][0]["code"] = "E:1;s:1,0;a:1,0;m:source,7"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [
+    "not-json", "not-an-object", "no-entries", "no-catalog", "no-params",
+    "no-schema_version", "no-n_faces", "no-code", "schema-999", "bad-token",
+])
+def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
+    catalog_path = tmp_path / "damaged.json"
+    catalog_path.write_text(damage_catalog(maps3.to_json_doc(), damage))
+    res = run_cli("export", str(catalog_path), "--format", "dot", cwd=tmp_path)
+    assert res.returncode == 2
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error: ")
+    assert res.stdout == ""
+    assert list(tmp_path.iterdir()) == [catalog_path]
+
+
+@pytest.mark.parametrize("version", [999, 0, None])
+def test_loads_rejects_other_schema_versions(maps3, version):
+    doc = maps3.to_json_doc()
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    with pytest.raises(ValueError):
+        Catalog.loads(json.dumps(doc))
+    assert Catalog.loads(maps3.dumps()) == maps3

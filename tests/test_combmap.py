@@ -209,6 +209,19 @@ class TestCanonicalCode:
         with pytest.raises(ValueError):
             CanonicalCode.from_token("E:1;bogus")
 
+    @pytest.mark.parametrize("token", [
+        "E:2;s:1,0;a:1,0;m:-",            # E disagrees with len(s) / 2
+        "E:1;s:1,0;a:1,0,3,2;m:-",        # len(a) != len(s)
+        "E:1;s:1,0;a:1,0;m:vertex,0",     # unknown mark kind
+        "E:1;s:1,0;a:1,0;m:source,7",     # label outside 0..2E-1
+        "E:1;s:1,0;a:1,0;m:sink,-1",
+        "E:1;s:5,0;a:1,0;m:-",            # s is not a permutation
+        "E:1;s:1,0;a:1,1;m:-",            # a is not a permutation
+    ])
+    def test_strict_token_rejects(self, token):
+        with pytest.raises(ValueError):
+            CanonicalCode.from_token(token)
+
     def test_invalid_mark_dart(self, named):
         with pytest.raises(InvalidMarkError):
             named["segment"].canonical_code(SourceMark(5))

@@ -4,8 +4,7 @@ import pytest
 
 import sphereflows.generate as gen
 from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
-                         GenerationConfig, generate_maps,
-                         generate_maps_with_degree3_vertex)
+                         GenerationConfig, generate_maps)
 from sphereflows.combmap import normal_alpha
 
 from oracles import rooted_count, tutte_rooted
@@ -94,27 +93,3 @@ def test_bad_jobs():
     with pytest.raises(ValueError):
         GenerationConfig(2, jobs=0)
 
-
-class TestDegree3Feeder:
-    def test_two_edges_has_no_eligible_vertex(self):
-        # the only degree-3 vertex in a two-edge map carries its loop
-        assert generate_maps_with_degree3_vertex(GenerationConfig(2)) == []
-
-    def test_three_edge_configurations(self, named):
-        pairs = generate_maps_with_degree3_vertex(GenerationConfig(3))
-        assert len(pairs) == 3
-        expected = {named[n].canonical_code().token()
-                    for n in ("star3", "bigon_tail", "theta")}
-        got = {m.canonical_code().token() for m, _ in pairs}
-        assert got == expected
-
-    def test_pairs_are_valid_and_loop_free(self):
-        for e in (3, 4, 5):
-            for m, orbit in generate_maps_with_degree3_vertex(GenerationConfig(e)):
-                assert len(orbit) == 3
-                assert not any(m.alpha[d] in orbit for d in orbit)
-
-    def test_trees_with_low_degree_contribute_nothing(self, named):
-        chains = [named["segment"], named["chain2"], named["chain3"]]
-        for m in chains:
-            assert all(len(o) <= 2 for o in m.vertex_orbits)

@@ -1,12 +1,15 @@
 """Structural invariants over every enumerated object, plus randomized laws."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
-                         SourceMark, are_equivalent, enumerate_sink_marks,
-                         enumerate_source_marks, enumerate_t_marks,
-                         generate_maps, realize, reverse)
+from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
+                         MarkedMap, SourceMark, are_equivalent,
+                         enumerate_sink_marks, enumerate_source_marks,
+                         enumerate_t_marks, generate_maps,
+                         marked_map_from_code, realize, reverse)
 from sphereflows.combmap import normal_alpha
 
 
@@ -142,3 +145,60 @@ def test_random_rotation_system_lands_in_the_catalog(e, data):
         assert len(matches) == 1
     else:
         assert {"NotConnected", "NotSpherical"} & set(m.validate().failures)
+
+
+@cache
+def catalog_tokens():
+    """Every map and marked-map key with at most three edges."""
+    tokens = []
+    for m in catalog(3):
+        tokens.append(m.canonical_code().token())
+        tokens += [mm.canonical_code().token()
+                   for mm in enumerate_source_marks(m) + enumerate_sink_marks(m)]
+    tokens += [mm.canonical_code().token() for mm in enumerate_t_marks(2)]
+    return tokens
+
+
+@st.composite
+def mutated_token(draw):
+    token = draw(st.sampled_from(catalog_tokens()))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(token) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(token) - 1))
+        char = draw(st.sampled_from("0123456789,;:-E"))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "swap",
+                                   "kind"]))
+        if op == "replace":
+            token = token[:i] + char + token[i + 1:]
+        elif op == "insert":
+            token = token[:i] + char + token[i:]
+        elif op == "delete":
+            token = token[:i] + token[i + 1:]
+        elif op == "swap":
+            chars = list(token)
+            chars[i], chars[j] = chars[j], chars[i]
+            token = "".join(chars)
+        else:
+            kind = draw(st.sampled_from(["source", "sink", "t", "vertex"]))
+            token = token.rsplit("m:", 1)[0] + f"m:{kind},{i % 12}"
+    return token
+
+
+@given(mutated_token())
+@settings(max_examples=300, deadline=None)
+def test_mutated_tokens_rebuild_or_raise_value_error(token):
+    # any exception other than ValueError fails the test
+    try:
+        code = CanonicalCode.from_token(token)
+    except ValueError:
+        return
+    assert len(code.sigma_images) == len(code.alpha_images) == 2 * code.n_edges
+    try:
+        if code.mark is None:
+            code.to_map()
+        else:
+            assert code.mark[0] in ("source", "sink", "t")
+            assert 0 <= code.mark[1] < 2 * code.n_edges
+            realize(marked_map_from_code(code))
+    except ValueError:
+        pass
