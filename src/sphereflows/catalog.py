@@ -211,8 +211,8 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
                                     jobs=jobs)
     else:
         raise ValueError(f"unknown bifurcation kind {kind!r}")
+    classes.sort(key=lambda mm: mm.canonical_code(allow_reflection).sort_key)
     entries = [entry_for_marked(mm, labels, allow_reflection) for mm in classes]
-    entries.sort(key=lambda e: CanonicalCode.from_token(e.code).sort_key)
     return Catalog(
         kind=kind,
         params={"n_saddles": n_saddles, "allow_reflection": allow_reflection},
@@ -453,8 +453,14 @@ def diagram_to_dict(mm: MarkedMap) -> dict:
 
 
 def export_entries(entries, fmt: str) -> str:
-    """Serialize catalog entries as json, dot or diagram-json text."""
+    """Serialize catalog entries as json, dot or diagram-json text.
+
+    Every format parses each entry's code token, so an invalid token raises
+    ValueError.
+    """
     if fmt == "json":
+        for e in entries:
+            CanonicalCode.from_token(e.code)
         doc = [e.to_dict() for e in entries]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "dot":

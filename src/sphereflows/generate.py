@@ -5,13 +5,21 @@ Two strategies produce the identical catalog:
 * ``brute`` -- the reference: alpha fixed in pair normal form, every
   permutation of the darts tried as sigma, rotation systems that are not
   connected and spherical filtered out, survivors deduplicated by
-  canonical code.
-* ``grow`` -- the default: maps with E edges are built from maps with E-1
-  edges by inserting an edge between two corners of a common face or
-  hanging a pendant edge in a corner.  Every connected map has an edge
-  that is either non-separating or pendant, so this reaches everything.
-  Children are spherical by construction and need no validity filter;
-  they are deduplicated by canonical code.
+  canonical code.  With ``jobs > 1`` the permutations are split over a
+  pool of worker processes.
+* ``grow`` -- the default, by canonical construction paths (McKay,
+  "Isomorph-free exhaustive generation", 1998): maps with E edges are
+  built from one map per class with E-1 edges by joining two corners of a
+  common face, closing a loop in a corner or hanging a pendant edge in a
+  corner.  Children are spherical by construction.  An edge is removable
+  when it has two distinct side faces or is pendant; deleting it is undone
+  by one of these steps, and every map with at least two edges has one.  A
+  child is kept only if its new edge is its canonical removable edge, so
+  each class is reached from a single parent class.  An invariant of each
+  removable edge (sorted endpoint degrees, sorted side-face degrees), read
+  off the parent in O(E), rejects most children before the child is built;
+  the canonical-labeling kernel runs only on the rest, once each.  Grow
+  runs in the calling process and ignores ``jobs``.
 
 The returned representatives are rebuilt from their canonical codes, so the
 output is byte-identical across strategies, run order and worker counts.
@@ -23,7 +31,7 @@ import math
 from collections import namedtuple
 from itertools import islice, permutations
 
-from .combmap import (CanonicalCode, CombinatorialMap, canonical_code_for,
+from .combmap import (CombinatorialMap, MapMark, canonical_code_for,
                       normal_alpha, sphere_failures)
 
 MIN_EDGES = 1
@@ -38,7 +46,8 @@ class GenerationConfig(namedtuple("GenerationConfig",
                                   "n_edges allow_reflection jobs")):
     """Parameters of a generation run.
 
-    ``jobs`` is a worker-count hint; results do not depend on it.
+    ``jobs`` is the worker count of the brute strategy; grow ignores it, and
+    results never depend on it.
     """
 
     __slots__ = ()
@@ -61,71 +70,205 @@ def _brute_chunk(n_edges: int, allow_reflection: bool, start: int, stop: int):
     return codes
 
 
-def _child_sigmas(m: CombinatorialMap):
-    """All ways to add one edge to the valid map ``m``, new darts appended.
+def _brute(cfg: GenerationConfig):
+    total = math.factorial(2 * cfg.n_edges)
+    if cfg.jobs <= 1:
+        return _brute_chunk(cfg.n_edges, cfg.allow_reflection, 0, total)
+    # imported here so that runs without workers skip multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    The corner after dart ``c`` means the gap between ``c`` and ``sigma(c)``
-    at the source vertex of ``c``; it lies in the face of ``sigma(c)``.  A
-    new edge either hangs pendant in one corner or joins two corners of one
-    face, splitting that face in two, so every child is connected and
-    spherical again.  Joining corners of different faces would leave
-    ``V - E + F = 0`` and is never tried.
-    """
-    n = m.n_darts
-    sigma = m.sigma
-    x, y = n, n + 1
-    corners_of_face = [[] for _ in m.face_orbits]
-    for c in range(n):
-        corners_of_face[m.face_of(sigma[c])].append(c)
-    for c1 in range(n):
-        # pendant edge in the corner after c1
-        s = list(sigma) + [0, y]
-        s[c1], s[x] = x, sigma[c1]
-        yield tuple(s)
-        for c2 in corners_of_face[m.face_of(sigma[c1])]:
-            if c1 == c2:
-                # both ends of a loop in one corner, both nestings
-                s = list(sigma) + [y, sigma[c1]]
-                s[c1] = x
-                yield tuple(s)
-                s = list(sigma) + [sigma[c1], x]
-                s[c1] = y
-                yield tuple(s)
-            else:
-                s = list(sigma) + [sigma[c1], sigma[c2]]
-                s[c1], s[c2] = x, y
-                yield tuple(s)
-
-
-def _grow_chunk(parent_tokens, allow_reflection: bool):
+    n_chunks = cfg.jobs * 4
+    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
     codes = set()
-    for token in parent_tokens:
-        parent = CanonicalCode.from_token(token).to_map()
-        alpha = normal_alpha(parent.n_edges + 1)
-        for sigma in _child_sigmas(parent):
-            codes.add(canonical_code_for(sigma, alpha, None, allow_reflection))
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        for part in pool.map(_brute_chunk, [cfg.n_edges] * n_chunks,
+                             [cfg.allow_reflection] * n_chunks,
+                             bounds[:-1], bounds[1:]):
+            codes |= part
     return codes
 
 
-def _chunked(items, n_chunks):
-    items = list(items)
-    size = max(1, math.ceil(len(items) / n_chunks))
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _augmentations(m: CombinatorialMap):
+    """Every way to add one edge to the valid map ``m``, with its invariants.
+
+    Yields ``(c1, c2, invariants)``.  The corner after dart ``c`` is the gap
+    between ``c`` and ``sigma(c)`` at the source vertex of ``c``; it lies in
+    the face of ``sigma(c)``.  The new edge hangs pendant in the corner
+    after ``c1`` when ``c2`` is None, is a loop in that corner when
+    ``c2 == c1``, and otherwise joins it to the corner after ``c2 > c1``,
+    another corner of the same face.  Every child is connected and
+    spherical again; joining corners of different faces would leave
+    ``V - E + F = 0`` and is never tried.  Swapping the two new darts gives
+    the same map, so a loop has one nesting and a join one order only.
+
+    ``invariants`` lists the child's edges (darts ``2e`` and ``2e + 1``, the
+    new edge last), each as ``(least, greatest endpoint degree, least,
+    greatest side-face degree)`` if it is removable, that is has two
+    distinct side faces or an endpoint of degree 1, and as None if not.
+    They are read off the parent's vertex degrees and face cycles in O(E)
+    per child, before the child is built: a join splits the face at the
+    positions of ``sigma(c1)`` and ``sigma(c2)`` in its cycle, a pendant
+    edge adds 2 to the face and a loop adds 1 and makes a face of degree 1.
+    """
+    n = m.n_darts
+    sigma = m.sigma
+    vertices, faces = m.vertex_orbits, m.face_orbits
+    vertex, degree, face, pos = [0] * n, [0] * n, [0] * n, [0] * n
+    for i, orbit in enumerate(vertices):
+        for d in orbit:
+            vertex[d], degree[d] = i, len(orbit)
+    for i, orbit in enumerate(faces):
+        for k, d in enumerate(orbit):
+            face[d], pos[d] = i, k
+    size = [len(faces[f]) for f in face]
+    corners_of_face = [[] for _ in faces]
+    for c in range(n):
+        corners_of_face[face[sigma[c]]].append(c)
+    for c1 in range(n):
+        f = face[sigma[c1]]
+        cycle = faces[f]
+        length = len(cycle)
+        around = vertices[vertex[c1]]
+        d1 = degree[c1]
+        # pendant edge in the corner after c1
+        deg = degree[:]
+        for d in around:
+            deg[d] += 1
+        sz = size[:]
+        for d in cycle:
+            sz[d] = length + 2
+        yield c1, None, _edge_invariants(
+            deg, face, sz, (1, d1 + 1, length + 2, length + 2))
+        # loop in the corner after c1: its vertex gains a second end
+        for d in around:
+            deg[d] += 1
+        for d in cycle:
+            sz[d] = length + 1
+        yield c1, c1, _edge_invariants(
+            deg, face, sz, (d1 + 2, d1 + 2, 1, length + 1))
+        p1 = pos[sigma[c1]]
+        for c2 in corners_of_face[f]:
+            if c2 <= c1:
+                continue
+            deg = degree[:]
+            for d in around:
+                deg[d] += 1
+            for d in vertices[vertex[c2]]:
+                deg[d] += 1
+            # the darts at positions p1 .. p2 - 1 of the cycle go to the new
+            # face of y, the others stay with x
+            k = (pos[sigma[c2]] - p1) % length
+            side, sz = face[:], size[:]
+            for i in range(length):
+                d = cycle[(p1 + i) % length]
+                if i < k:
+                    side[d], sz[d] = -1, k + 1
+                else:
+                    sz[d] = length - k + 1
+            a, b = sorted((deg[c1], deg[c2]))
+            fa, fb = sorted((k + 1, length - k + 1))
+            yield c1, c2, _edge_invariants(deg, side, sz, (a, b, fa, fb))
 
 
-def _run_sharded(worker, arg_chunks, jobs):
-    if jobs <= 1 or len(arg_chunks) <= 1:
-        results = [worker(*args) for args in arg_chunks]
+def _edge_invariants(deg, side, size, new):
+    """Invariants of the parent's edges in a child, then ``new`` (see
+    :func:`_augmentations`); ``deg``, ``side`` and ``size`` give per parent
+    dart the child's vertex degree, face identity and face degree."""
+    out = []
+    for d in range(0, len(deg), 2):
+        a, b = deg[d], deg[d + 1]
+        if side[d] != side[d + 1] or a == 1 or b == 1:
+            sa, sb = size[d], size[d + 1]
+            if a > b:
+                a, b = b, a
+            if sa > sb:
+                sa, sb = sb, sa
+            out.append((a, b, sa, sb))
+        else:
+            out.append(None)
+    out.append(new)
+    return out
+
+
+def _child_sigma(sigma, c1: int, c2):
+    """The rotation of the child ``(c1, c2)`` of :func:`_augmentations`.
+
+    The new darts are ``x = n`` after ``c1`` and its partner ``y = n + 1``:
+    a leaf, after ``x`` (a loop), or after ``c2``.
+    """
+    n = len(sigma)
+    s = list(sigma)
+    if c2 is None:
+        s += (sigma[c1], n + 1)
+        s[c1] = n
+    elif c2 == c1:
+        s += (n + 1, sigma[c1])
+        s[c1] = n
     else:
-        # imported here so that runs without workers skip multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        s += (sigma[c1], sigma[c2])
+        s[c1], s[c2] = n, n + 1
+    return s
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(worker, *zip(*arg_chunks)))
-    merged = set()
-    for r in results:
-        merged |= r
-    return merged
+
+class _AddedEdge(MapMark):
+    """The new edge of a child, against the removable edges tied with it.
+
+    Under a start's labels its value is the least label of the edge minus
+    the least label of any tied edge.  The tied edges are closed under
+    automorphisms, so that second term is the same for every winning start,
+    and the least value over the winners is 0 exactly when an automorphism
+    takes the new edge to the tied edge with the least canonical label.
+    """
+
+    __slots__ = ("_tied",)
+    kind = "added"
+
+    def __init__(self, dart: int, tied):
+        super().__init__(dart)
+        self._tied = tied
+
+    def trace_value(self, labels, alpha, reflected):
+        d = self._dart
+        return (min(labels[d], labels[alpha[d]])
+                - min(min(labels[t], labels[alpha[t]]) for t in self._tied))
+
+
+def _accepted_code(parent: CombinatorialMap, c1: int, c2, invariants,
+                   allow_reflection: bool):
+    """The child's canonical code if its new edge is canonical, else None.
+
+    The new edge is canonical when no removable edge has a smaller
+    invariant and an automorphism of the child takes it to the edge with
+    the least canonical label among those tied with it.  The first test
+    needs only the invariants; the second runs the kernel once.
+    """
+    new = invariants[-1]
+    for inv in invariants:
+        if inv is not None and inv < new:
+            return None
+    tied = [2 * e for e, inv in enumerate(invariants) if inv == new]
+    n = parent.n_darts
+    code = canonical_code_for(_child_sigma(parent.sigma, c1, c2),
+                              normal_alpha(n // 2 + 1), _AddedEdge(n, tied),
+                              allow_reflection)
+    return code._replace(mark=None) if code.mark[1] == 0 else None
+
+
+def _grow(parents, allow_reflection: bool):
+    """Codes of the classes with one edge more than ``parents``.
+
+    ``parents`` holds one map per class.  Each class is reached from one
+    parent class only, the child minus its canonical removable edge, so the
+    set only merges children of one parent that coincide through an
+    automorphism of that parent.
+    """
+    codes = set()
+    for parent in parents:
+        for c1, c2, invariants in _augmentations(parent):
+            code = _accepted_code(parent, c1, c2, invariants, allow_reflection)
+            if code is not None:
+                codes.add(code)
+    return codes
 
 
 _cache = {}
@@ -144,13 +287,7 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "auto"):
     key = (cfg.n_edges, cfg.allow_reflection, strategy)
     if key not in _cache:
         if strategy == "brute":
-            total = math.factorial(2 * cfg.n_edges)
-            n_chunks = 1 if cfg.jobs <= 1 else cfg.jobs * 4
-            bounds = [(total * i // n_chunks, total * (i + 1) // n_chunks)
-                      for i in range(n_chunks)]
-            chunks = [(cfg.n_edges, cfg.allow_reflection, lo, hi)
-                      for lo, hi in bounds]
-            codes = _run_sharded(_brute_chunk, chunks, cfg.jobs)
+            codes = _brute(cfg)
         elif cfg.n_edges == 1:
             segment = CombinatorialMap((0, 1))
             loop = CombinatorialMap((1, 0))
@@ -160,11 +297,6 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "auto"):
             parents = generate_maps(
                 GenerationConfig(cfg.n_edges - 1, cfg.allow_reflection, cfg.jobs),
                 strategy="grow")
-            tokens = [m.canonical_code(allow_reflection=cfg.allow_reflection).token()
-                      for m in parents]
-            n_chunks = 1 if cfg.jobs <= 1 else min(len(tokens), cfg.jobs * 4)
-            chunks = [(chunk, cfg.allow_reflection)
-                      for chunk in _chunked(tokens, n_chunks)]
-            codes = _run_sharded(_grow_chunk, chunks, cfg.jobs)
+            codes = _grow(parents, cfg.allow_reflection)
         _cache[key] = tuple(code.to_map() for code in sorted(codes))
     return list(_cache[key])

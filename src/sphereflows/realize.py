@@ -79,10 +79,12 @@ class SeparatrixDiagram(NamedTuple):
         outdeg = {p.id: 0 for p in self.points}
         hyper_in = {p.id: 0 for p in self.points}
         hyper_out = {p.id: 0 for p in self.points}
+        successors = {p.id: [] for p in self.points}
         for arc in self.separatrices:
             if arc.source not in kinds or arc.target not in kinds:
                 issues.append(f"arc {arc} references an unknown point")
                 continue
+            successors[arc.source].append(arc.target)
             indeg[arc.target] += 1
             outdeg[arc.source] += 1
             if kinds[arc.source] != "saddle":
@@ -134,18 +136,17 @@ class SeparatrixDiagram(NamedTuple):
                     (connections[0].source, connections[0].target) != pair:
                 issues.append("recorded saddle connection does not match arcs")
 
-        # no directed cycles
-        remaining = {p.id: indeg[p.id] for p in self.points}
+        # no directed cycles: peel off points without incoming arcs
+        remaining = dict(indeg)
         ready = [pid for pid, deg in remaining.items() if deg == 0]
         seen = 0
         while ready:
             pid = ready.pop()
             seen += 1
-            for arc in self.separatrices:
-                if arc.source == pid:
-                    remaining[arc.target] -= 1
-                    if remaining[arc.target] == 0:
-                        ready.append(arc.target)
+            for target in successors[pid]:
+                remaining[target] -= 1
+                if remaining[target] == 0:
+                    ready.append(target)
         if seen != len(self.points):
             issues.append("directed cycle among separatrices")
         return issues

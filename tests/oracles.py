@@ -9,8 +9,8 @@ left and right of a dart swap when the orientation flips.
 
 ``bfs_trace`` is the relabeling trace of one start dart, built in full with
 no comparison: the reference for the early-abort kernel in ``combmap``.
-``rooted_count`` weighs each generated class by ``2E/|Aut+|``, counting
-automorphisms with ``bfs_trace``, for comparison with Tutte's closed form.
+``rooted_sum`` weighs each class by ``2E/|Aut+|``, counting automorphisms
+with ``bfs_trace``, for comparison with Tutte's closed form.
 """
 
 import math
@@ -120,14 +120,20 @@ def all_traces(m, allow_reflection=True):
 
 
 def rooted_count(e):
-    """Independent cross-check: sum of 2E/|Aut+| over sensed classes.
+    """Independent cross-check: ``rooted_sum`` over the sensed classes with
+    ``e`` edges."""
+    return rooted_sum(generate_maps(GenerationConfig(e, allow_reflection=False)))
+
+
+def rooted_sum(maps):
+    """Sum of 2E/|Aut+| over sensed classes.
 
     Orientation-preserving automorphisms act freely on darts, and their
     number equals the number of start darts whose forward trace attains the
     class minimum.
     """
     total = 0
-    for m in generate_maps(GenerationConfig(e, allow_reflection=False)):
+    for m in maps:
         traces = [tuple(bfs_trace(m.sigma, m.alpha, s)[1])
                   for s in range(m.n_darts)]
         aut = traces.count(min(traces))

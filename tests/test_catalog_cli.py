@@ -250,12 +250,13 @@ def damage_catalog(doc, damage):
 def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
     catalog_path = tmp_path / "damaged.json"
     catalog_path.write_text(damage_catalog(maps3.to_json_doc(), damage))
-    res = run_cli("export", str(catalog_path), "--format", "dot", cwd=tmp_path)
-    assert res.returncode == 2
-    assert len(res.stderr.splitlines()) == 1
-    assert res.stderr.startswith("error: ")
-    assert res.stdout == ""
-    assert list(tmp_path.iterdir()) == [catalog_path]
+    for fmt in ("dot", "json") if damage == "bad-token" else ("dot",):
+        res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
+        assert res.returncode == 2, fmt
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == [catalog_path]
 
 
 @pytest.mark.parametrize("version", [999, 0, None])

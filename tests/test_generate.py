@@ -1,4 +1,5 @@
 import random
+from functools import cache
 
 import pytest
 
@@ -7,7 +8,7 @@ from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
                          GenerationConfig, generate_maps)
 from sphereflows.combmap import normal_alpha
 
-from oracles import rooted_count, tutte_rooted
+from oracles import all_traces, rooted_count, rooted_sum, tutte_rooted
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -25,10 +26,11 @@ def test_map_counts(e, count):
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_brute_equals_grow(e):
-    cfg = GenerationConfig(e)
-    grow = generate_maps(cfg, strategy="grow")
-    brute = generate_maps(cfg, strategy="brute")
-    assert [m.sigma for m in grow] == [m.sigma for m in brute]
+    for reflection in (True, False):
+        cfg = GenerationConfig(e, reflection)
+        grow = generate_maps(cfg, strategy="grow")
+        brute = generate_maps(cfg, strategy="brute")
+        assert [m.sigma for m in grow] == [m.sigma for m in brute], reflection
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
@@ -67,15 +69,107 @@ def test_random_witnesses_hit_exactly_one_class(e):
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_every_child_is_valid(e, reflection):
     for m in generate_maps(GenerationConfig(e, reflection)):
-        for sigma in gen._child_sigmas(m):
+        for c1, c2, _ in gen._augmentations(m):
+            sigma = gen._child_sigma(m.sigma, c1, c2)
             assert CombinatorialMap(sigma).validate().ok, (m, sigma)
 
 
 def test_parallel_runs_match_serial(monkeypatch):
     serial = [m.sigma for m in generate_maps(GenerationConfig(3))]
+    brute = [m.sigma for m in generate_maps(GenerationConfig(3), "brute")]
     monkeypatch.setattr(gen, "_cache", {})
     parallel = [m.sigma for m in generate_maps(GenerationConfig(3, jobs=2))]
     assert parallel == serial
+    parallel = [m.sigma for m in generate_maps(GenerationConfig(3, jobs=2),
+                                               "brute")]
+    assert parallel == brute == serial
+
+
+# -- canonical construction paths
+
+def children(e, reflection):
+    """``(parent, c1, c2, invariants, child)`` for every child of every map
+    with ``e`` edges."""
+    for m in generate_maps(GenerationConfig(e, reflection)):
+        for c1, c2, invariants in gen._augmentations(m):
+            child = CombinatorialMap(gen._child_sigma(m.sigma, c1, c2))
+            yield m, c1, c2, invariants, child
+
+
+def invariants_from_orbits(child):
+    """Per edge of ``child``: (sorted endpoint degrees, sorted side-face
+    degrees) if the edge is removable, else None, read off its orbits."""
+    out = []
+    for d in range(0, child.n_darts, 2):
+        a, b = sorted(len(child.vertex_orbits[child.vertex_of(x)])
+                      for x in (d, d + 1))
+        fa, fb = sorted(len(child.face_orbits[child.face_of(x)])
+                        for x in (d, d + 1))
+        removable = child.face_of(d) != child.face_of(d + 1) or a == 1
+        out.append((a, b, fa, fb) if removable else None)
+    return out
+
+
+def full_rule_accepts(child, allow_reflection):
+    """Whether the last edge of ``child`` is in the orbit of its canonical
+    removable edge: among the removable edges of least invariant, the one
+    whose least label under the winning starts is least.  Starts and
+    winners come from ``oracles.all_traces``, not from the kernel."""
+    invariants = invariants_from_orbits(child)
+    least = min(inv for inv in invariants if inv is not None)
+    tied = [2 * e for e, inv in enumerate(invariants) if inv == least]
+    traces = all_traces(child, allow_reflection)
+    best = min(trace for trace, _, _ in traces)
+    winners = [labels for trace, _, labels in traces if trace == best]
+
+    def label(d):
+        return min(min(w[d], w[d + 1]) for w in winners)
+
+    new = child.n_darts - 2
+    return new in tied and label(new) == min(label(d) for d in tied)
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_gate_invariants_match_child_orbits(e, reflection):
+    for m, c1, c2, invariants, child in children(e, reflection):
+        assert invariants == invariants_from_orbits(child), (m, c1, c2)
+
+
+@pytest.mark.parametrize("reflection", [True, False])
+@pytest.mark.parametrize("e", [1, 2, 3, 4])
+def test_gate_and_accept_match_the_full_rule(e, reflection):
+    accepted = set()
+    for m, c1, c2, invariants, child in children(e, reflection):
+        full = full_rule_accepts(child, reflection)
+        gate = all(inv is None or inv >= invariants[-1] for inv in invariants)
+        assert gate or not full, (m, c1, c2)
+        code = gen._accepted_code(m, c1, c2, invariants, reflection)
+        assert (code is not None) == full, (m, c1, c2)
+        if code is not None:
+            assert code == child.canonical_code(allow_reflection=reflection)
+            accepted.add(code)
+    grown = generate_maps(GenerationConfig(e + 1, reflection))
+    assert sorted(accepted) == [m.canonical_code(allow_reflection=reflection)
+                                for m in grown]
+
+
+@cache
+def six_edge_maps(reflection):
+    """The classes one grow level above the five-edge catalog."""
+    parents = generate_maps(GenerationConfig(5, reflection))
+    return [code.to_map() for code in sorted(gen._grow(parents, reflection))]
+
+
+@pytest.mark.parametrize("reflection,count", [(True, 1416), (False, 2071)])
+def test_six_edge_level_counts(reflection, count):
+    # Liskovets, "A census of nonisomorphic planar maps" (1981); OEIS
+    # A006384 (unsensed) and A000087 (sensed)
+    assert len(six_edge_maps(reflection)) == count
+
+
+def test_six_edge_level_reproduces_rooted_map_number():
+    assert rooted_sum(six_edge_maps(False)) == tutte_rooted(6) == 24057
 
 
 def test_unknown_strategy():

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from sphereflows import (GenerationConfig, InvalidMarkError, MarkedMap,
+                         Separatrix, SeparatrixDiagram, SingularPoint,
                          SinkMark, SourceMark, TMark, diagram_census_check,
                          enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, generate_maps, realize)
@@ -98,6 +99,25 @@ class TestDiagramInvariants:
         broken = type(dia)(dia.points, dia.separatrices[:-1],
                            dia.saddle_connection)
         assert broken.check()
+
+    def test_directed_cycle_reported_once(self):
+        kinds = ("saddle", "saddle", "source", "source", "sink", "sink")
+        points = tuple(SingularPoint(i, k, ("edge", i))
+                       for i, k in enumerate(kinds))
+        arcs = tuple(Separatrix(a, b, 0) for a, b in
+                     [(2, 0), (3, 1), (0, 1), (1, 0), (0, 4), (1, 5)])
+        assert SeparatrixDiagram(points, arcs).check() == [
+            "0 saddle-nodes in a saddle-node diagram",
+            "saddle-to-saddle arc without a recorded connection",
+            "directed cycle among separatrices",
+        ]
+
+    def test_arc_to_unknown_point_reported(self, named):
+        dia = realize(MarkedMap(named["segment"], SourceMark(0)))
+        for arc in (Separatrix(0, 99, 0), Separatrix(99, 0, 0)):
+            broken = type(dia)(dia.points, dia.separatrices + (arc,),
+                               dia.saddle_connection)
+            assert broken.check() == [f"arc {arc} references an unknown point"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
