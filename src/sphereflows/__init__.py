@@ -13,11 +13,10 @@ from .generate import (EdgeCountOutOfRangeError, GenerationConfig,
 from .marks import (MarkedMap, NotReversibleError, SaddleConnectionCensus,
                     SaddleCountOutOfRangeError, SaddleNodeCensus, SinkMark,
                     SourceMark, TMark, enumerate_sink_marks,
-                    enumerate_source_marks, enumerate_t_marks,
+                    enumerate_source_marks, enumerate_t_marks, flow_classes,
                     marked_map_from_code, reverse, saddle_connection_census,
                     saddle_node_census, t_connection_category)
-from .realize import (Separatrix, SeparatrixDiagram, SingularPoint,
-                      diagram_census_check, realize)
+from .realize import Separatrix, SeparatrixDiagram, SingularPoint, realize
 
 __version__ = "0.1.0"
 
@@ -29,9 +28,8 @@ __all__ = [
     "MarkedMap", "NotReversibleError", "SaddleConnectionCensus",
     "SaddleCountOutOfRangeError", "SaddleNodeCensus", "SinkMark",
     "SourceMark", "TMark", "enumerate_sink_marks", "enumerate_source_marks",
-    "enumerate_t_marks", "marked_map_from_code", "reverse",
+    "enumerate_t_marks", "flow_classes", "marked_map_from_code", "reverse",
     "saddle_connection_census", "saddle_node_census", "t_connection_category",
-    "Separatrix", "SeparatrixDiagram", "SingularPoint",
-    "diagram_census_check", "realize",
+    "Separatrix", "SeparatrixDiagram", "SingularPoint", "realize",
     "__version__",
 ]

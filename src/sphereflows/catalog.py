@@ -17,11 +17,10 @@ from typing import NamedTuple, Optional
 from .combmap import CanonicalCode, CombinatorialMap
 from .generate import GenerationConfig, generate_maps
 from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                    FAR_SIDE_TWO_EDGES, MAX_SADDLES, MarkedMap,
-                    SN_MIN_SADDLES, SaddleCountOutOfRangeError,
-                    enumerate_sink_marks, enumerate_source_marks,
-                    enumerate_t_marks, marked_map_from_code,
-                    saddle_connection_census, saddle_node_census)
+                    FAR_SIDE_TWO_EDGES, MarkedMap, enumerate_sink_marks,
+                    enumerate_source_marks, flow_classes,
+                    marked_map_from_code, saddle_connection_census,
+                    saddle_node_census)
 from .realize import realize
 
 SCHEMA_VERSION = 1
@@ -193,26 +192,11 @@ def build_map_catalog(cfg: GenerationConfig, strategy: str = "auto") -> Catalog:
 
 
 def build_bifurcation_catalog(kind: str, n_saddles: int,
-                              allow_reflection: bool = True,
-                              jobs: int = 1) -> Catalog:
+                              allow_reflection: bool = True) -> Catalog:
     """Marked-map catalog: both saddle-node kinds together, or T marks."""
     labels = load_paper_labels()
-    if kind == "saddle-node":
-        if not (SN_MIN_SADDLES <= n_saddles <= MAX_SADDLES):
-            raise SaddleCountOutOfRangeError(
-                f"saddle-node flows need {SN_MIN_SADDLES}..{MAX_SADDLES} "
-                f"saddles, got {n_saddles}")
-        classes = []
-        for m in generate_maps(GenerationConfig(n_saddles, allow_reflection, jobs)):
-            classes.extend(enumerate_source_marks(m, allow_reflection=allow_reflection))
-            classes.extend(enumerate_sink_marks(m, allow_reflection=allow_reflection))
-    elif kind == "saddle-connection":
-        classes = enumerate_t_marks(n_saddles, allow_reflection=allow_reflection,
-                                    jobs=jobs)
-    else:
-        raise ValueError(f"unknown bifurcation kind {kind!r}")
-    classes.sort(key=lambda mm: mm.canonical_code(allow_reflection).sort_key)
-    entries = [entry_for_marked(mm, labels, allow_reflection) for mm in classes]
+    entries = [entry_for_marked(mm, labels, allow_reflection)
+               for mm in flow_classes(kind, n_saddles, allow_reflection)]
     return Catalog(
         kind=kind,
         params={"n_saddles": n_saddles, "allow_reflection": allow_reflection},
@@ -295,14 +279,14 @@ class CensusReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def build_census_report(allow_reflection: bool = True, jobs: int = 1) -> CensusReport:
+def build_census_report(allow_reflection: bool = True) -> CensusReport:
     """Run the whole n <= 4 census suite and compare with the published table."""
     rows = []
     notes = []
 
     map_counts = {}
     for e in range(1, 6):
-        maps = generate_maps(GenerationConfig(e, allow_reflection, jobs))
+        maps = generate_maps(GenerationConfig(e, allow_reflection))
         map_counts[e] = len(maps)
         rows.append(ReportRow("spherical maps", f"{e}-edge maps", len(maps),
                               PAPER_EXPECTED_MAPS.get(e)))
@@ -312,10 +296,10 @@ def build_census_report(allow_reflection: bool = True, jobs: int = 1) -> CensusR
             "matches the exact rooted-map enumeration; the published list of "
             "38 four-edge graphs is incomplete")
 
-    sn = {n: saddle_node_census(n, allow_reflection=allow_reflection, jobs=jobs)
+    sn = {n: saddle_node_census(n, allow_reflection=allow_reflection)
           for n in range(1, 5)}
-    sc = {n: saddle_connection_census(n, allow_reflection=allow_reflection,
-                                      jobs=jobs) for n in range(2, 5)}
+    sc = {n: saddle_connection_census(n, allow_reflection=allow_reflection)
+          for n in range(2, 5)}
 
     flows = {
         3: ("saddle-node flows, 1 saddle", sn[1].total),
@@ -361,7 +345,7 @@ def build_census_report(allow_reflection: bool = True, jobs: int = 1) -> CensusR
         rows.append(ReportRow("10 points breakdown", cat_labels[cat],
                               sc[4].by_category[cat], PAPER_EXPECTED_SC4[cat]))
 
-    maps4 = generate_maps(GenerationConfig(4, allow_reflection, jobs))
+    maps4 = generate_maps(GenerationConfig(4, allow_reflection))
     duality_ok = all(
         len(enumerate_sink_marks(m, allow_reflection=allow_reflection))
         == len(enumerate_source_marks(m.dual(), allow_reflection=allow_reflection))

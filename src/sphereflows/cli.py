@@ -93,7 +93,7 @@ def cmd_maps(args) -> int:
 def cmd_bifurcations(args) -> int:
     try:
         catalog = cat.build_bifurcation_catalog(
-            args.kind, args.saddles, not args.no_reflections, args.jobs)
+            args.kind, args.saddles, not args.no_reflections)
     except (SaddleCountOutOfRangeError, EdgeCountOutOfRangeError) as exc:
         raise UsageError(str(exc)) from exc
     out = args.out or Path(f"bifurcations-{args.kind}-n{args.saddles}.json")
@@ -110,7 +110,7 @@ def cmd_bifurcations(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    report = cat.build_census_report(not args.no_reflections, args.jobs)
+    report = cat.build_census_report(not args.no_reflections)
     out = args.out or Path("paper-census.json")
     _write(out, report.dumps())
     print(report.to_text(), end="")

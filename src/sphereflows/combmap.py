@@ -433,6 +433,7 @@ class CombinatorialMap:
         # per reflection mode: the unmarked code and the winning starts, from
         # which the code of every mark on this map follows
         self._least = {}
+        self._valid = False
 
     # -- basic data
 
@@ -456,10 +457,6 @@ class CombinatorialMap:
     def n_edges(self) -> int:
         return len(self._sigma) // 2
 
-    def phi(self, d: int) -> int:
-        """Face successor: ``sigma(alpha(d))``."""
-        return self._sigma[self._alpha[d]]
-
     # -- validation
 
     def validate(self) -> ValidationResult:
@@ -471,9 +468,12 @@ class CombinatorialMap:
         return ValidationResult(not failures, tuple(failures))
 
     def require_valid(self) -> "CombinatorialMap":
-        res = self.validate()
-        if not res.ok:
-            raise ValueError(f"invalid map: {', '.join(res.failures)}")
+        """Raise ValueError unless valid; a success is remembered."""
+        if not self._valid:
+            res = self.validate()
+            if not res.ok:
+                raise ValueError(f"invalid map: {', '.join(res.failures)}")
+            self._valid = True
         return self
 
     # -- cells
@@ -486,18 +486,6 @@ class CombinatorialMap:
     def face_orbits(self) -> tuple:
         phi = tuple(self._sigma[self._alpha[d]] for d in range(self.n_darts))
         return perm_orbits(phi)
-
-    @cached_property
-    def edge_orbits(self) -> tuple:
-        return tuple((2 * e, 2 * e + 1) for e in range(self.n_edges))
-
-    def orbits(self, which: str) -> tuple:
-        try:
-            return {"vertices": self.vertex_orbits,
-                    "edges": self.edge_orbits,
-                    "faces": self.face_orbits}[which]
-        except KeyError:
-            raise ValueError(f"unknown orbit kind {which!r}") from None
 
     @property
     def n_vertices(self) -> int:

@@ -121,9 +121,6 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
     def canonical_code(self, allow_reflection: bool = True):
         return self.map.canonical_code(self.mark, allow_reflection)
 
-    def reversed_flow(self) -> "MarkedMap":
-        return reverse(self)
-
 
 def marked_map_from_code(code) -> MarkedMap:
     """Rebuild the canonical representative of a marked-map class."""
@@ -137,52 +134,75 @@ def marked_map_from_code(code) -> MarkedMap:
     return MarkedMap(CombinatorialMap(sigma, alpha), cls(relabel[label]))
 
 
-def _dedupe(candidates, allow_reflection):
-    classes = {}
-    for mm in candidates:
-        classes.setdefault(mm.canonical_code(allow_reflection), mm)
-    return [classes[code] for code in sorted(classes)]
+def _mark_classes(m: CombinatorialMap, mark_cls, darts, allow_reflection):
+    """One marked map per class of ``mark_cls`` marks on ``darts``, by code.
+
+    The marks share the map's one kernel run, so each dart costs only the
+    least of its trace values over the map's automorphisms; a marked map is
+    built for the first dart of each class alone.
+    """
+    first = {}
+    for d in darts:
+        first.setdefault(m.canonical_code(mark_cls(d), allow_reflection), d)
+    return [MarkedMap(m, mark_cls(first[code])) for code in sorted(first)]
 
 
 def enumerate_source_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, source mark), ordered by code."""
     m.require_valid()
-    candidates = (MarkedMap(m, SourceMark(d)) for d in range(m.n_darts)
-                  if not m.is_loop(d))
-    return _dedupe(candidates, allow_reflection)
+    darts = [d for d in range(m.n_darts) if not m.is_loop(d)]
+    return _mark_classes(m, SourceMark, darts, allow_reflection)
 
 
 def enumerate_sink_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, sink mark), ordered by code."""
     m.require_valid()
-    candidates = (MarkedMap(m, SinkMark(d)) for d in range(m.n_darts)
-                  if not m.is_bridge(d))
-    return _dedupe(candidates, allow_reflection)
+    darts = [d for d in range(m.n_darts) if not m.is_bridge(d)]
+    return _mark_classes(m, SinkMark, darts, allow_reflection)
 
 
-def _t_candidates(m: CombinatorialMap):
-    for orbit in m.vertex_orbits:
-        if len(orbit) == 3 and not any(m.alpha[d] in orbit for d in orbit):
-            for p in orbit:
-                yield MarkedMap(m, TMark(p))
+def _maps_for(kind: str, n_saddles: int, allow_reflection: bool):
+    """The maps that carry the flows of a bifurcation kind with n saddles."""
+    low, what = ((SN_MIN_SADDLES, "saddle-node flows") if kind == "saddle-node"
+                 else (T_MIN_SADDLES, "saddle connections"))
+    if not (low <= n_saddles <= MAX_SADDLES):
+        raise SaddleCountOutOfRangeError(
+            f"{what} need {low}..{MAX_SADDLES} saddles, got {n_saddles}")
+    n_edges = n_saddles if kind == "saddle-node" else n_saddles + 1
+    return generate_maps(GenerationConfig(n_edges, allow_reflection))
 
 
-def enumerate_t_marks(n_saddles: int, *, allow_reflection: bool = True,
-                      jobs: int = 1):
+def enumerate_t_marks(n_saddles: int, *, allow_reflection: bool = True):
     """All saddle-connection flows with the given saddle count, one per class.
 
     The underlying maps have ``n_saddles + 1`` edges; the marked vertex is
-    the lower saddle of the connection.
+    the lower saddle of the connection.  Maps come in code order and a
+    marked code begins with its map's code, so the classes are in code order.
     """
-    if not (T_MIN_SADDLES <= n_saddles <= MAX_SADDLES):
-        raise SaddleCountOutOfRangeError(
-            f"saddle connections need {T_MIN_SADDLES}..{MAX_SADDLES} saddles, "
-            f"got {n_saddles}")
-    cfg = GenerationConfig(n_saddles + 1, allow_reflection, jobs)
     out = []
-    for m in generate_maps(cfg):
-        out.extend(_dedupe(_t_candidates(m), allow_reflection))
-    out.sort(key=lambda mm: mm.canonical_code(allow_reflection).sort_key)
+    for m in _maps_for("saddle-connection", n_saddles, allow_reflection):
+        darts = [p for orbit in m.vertex_orbits if len(orbit) == 3
+                 and not any(m.alpha[d] in orbit for d in orbit) for p in orbit]
+        out += _mark_classes(m, TMark, darts, allow_reflection)
+    return out
+
+
+def flow_classes(kind: str, n_saddles: int,
+                 allow_reflection: bool = True) -> list:
+    """Every flow of a bifurcation kind with n saddles, one per class, by code.
+
+    ``kind`` is ``"saddle-node"`` (source and sink marks together) or
+    ``"saddle-connection"`` (T marks).  On each map the source classes
+    precede the sink classes, as their codes do.
+    """
+    if kind == "saddle-connection":
+        return enumerate_t_marks(n_saddles, allow_reflection=allow_reflection)
+    if kind != "saddle-node":
+        raise ValueError(f"unknown bifurcation kind {kind!r}")
+    out = []
+    for m in _maps_for(kind, n_saddles, allow_reflection):
+        out += enumerate_source_marks(m, allow_reflection=allow_reflection)
+        out += enumerate_sink_marks(m, allow_reflection=allow_reflection)
     return out
 
 
@@ -238,16 +258,11 @@ class SaddleNodeCensus(NamedTuple):
         return out
 
 
-def saddle_node_census(n_saddles: int, *, allow_reflection: bool = True,
-                       jobs: int = 1) -> SaddleNodeCensus:
+def saddle_node_census(n_saddles: int, *,
+                       allow_reflection: bool = True) -> SaddleNodeCensus:
     """Count source- and sink-marked classes over all maps with n edges."""
-    if not (SN_MIN_SADDLES <= n_saddles <= MAX_SADDLES):
-        raise SaddleCountOutOfRangeError(
-            f"saddle-node flows need {SN_MIN_SADDLES}..{MAX_SADDLES} saddles, "
-            f"got {n_saddles}")
-    cfg = GenerationConfig(n_saddles, allow_reflection, jobs)
     rows = []
-    for m in generate_maps(cfg):
+    for m in _maps_for("saddle-node", n_saddles, allow_reflection):
         rows.append(SaddleNodeCensusRow(
             map_code=m.canonical_code(allow_reflection=allow_reflection).token(),
             n_vertices=m.n_vertices,
@@ -335,10 +350,9 @@ class SaddleConnectionCensus(NamedTuple):
         return hash(self[:3])
 
 
-def saddle_connection_census(n_saddles: int, *, allow_reflection: bool = True,
-                             jobs: int = 1) -> SaddleConnectionCensus:
-    classes = enumerate_t_marks(n_saddles, allow_reflection=allow_reflection,
-                                jobs=jobs)
+def saddle_connection_census(n_saddles: int, *,
+                             allow_reflection: bool = True) -> SaddleConnectionCensus:
+    classes = enumerate_t_marks(n_saddles, allow_reflection=allow_reflection)
     by_category = {CONNECTED_AFTER_CUT: 0, FAR_SIDE_ONE_EDGE: 0,
                    FAR_SIDE_TWO_EDGES: 0}
     for mm in classes:

@@ -28,9 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .combmap import CombinatorialMap, InvalidMarkError
-from .generate import GenerationConfig, generate_maps
-from .marks import (MarkedMap, enumerate_sink_marks, enumerate_source_marks,
-                    enumerate_t_marks, reverse)
+from .marks import MarkedMap, reverse
 
 SADDLE_NODE_KINDS = ("saddle-node-source", "saddle-node-sink")
 
@@ -152,41 +150,47 @@ class SeparatrixDiagram(NamedTuple):
         return issues
 
 
-def _morse_points(m: CombinatorialMap, skip_vertex: int):
-    """Sources for the vertices except ``skip_vertex``, then sinks for the faces.
+def _morse_skeleton(m: CombinatorialMap, v: int, skipped: set,
+                    pair: tuple = (), merged: Optional[tuple] = None):
+    """The Morse flow of ``m`` away from vertex ``v`` and the edges ``skipped``.
 
-    Returns the points and the point ids by vertex and by face index.
+    Points, in id order: a source per vertex other than ``v``, a sink per
+    face, the ``(kind, origin)`` points of ``pair``, a saddle per edge whose
+    even dart is not in ``skipped``, and last ``merged``, which stands in
+    for ``v``.  Each saddle gets its two stable and two unstable arcs.
+    Returns the points, the arcs and the point ids by vertex and face index.
     """
     points, vertex_point, face_point = [], {}, {}
+
+    def add(kind, origin):
+        points.append(SingularPoint(len(points), kind, origin))
+        return len(points) - 1
+
     for i, orbit in enumerate(m.vertex_orbits):
-        if i != skip_vertex:
-            vertex_point[i] = len(points)
-            points.append(SingularPoint(len(points), "source", ("vertex", min(orbit))))
+        if i != v:
+            vertex_point[i] = add("source", ("vertex", min(orbit)))
     for i, orbit in enumerate(m.face_orbits):
-        face_point[i] = len(points)
-        points.append(SingularPoint(len(points), "sink", ("face", min(orbit))))
-    return points, vertex_point, face_point
-
-
-def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
-    v0 = m.vertex_of(d0)
-    e0 = min(d0, m.alpha[d0])
-    points, vertex_point, face_point = _morse_points(m, v0)
-    saddle_point = {}
-    for rep in range(0, m.n_darts, 2):
-        if rep != e0:
-            saddle_point[rep] = len(points)
-            points.append(SingularPoint(len(points), "saddle", ("edge", rep)))
-    sn = len(points)
-    points.append(SingularPoint(sn, "saddle-node-source", ("mark", d0)))
-    vertex_point[v0] = sn
-
+        face_point[i] = add("sink", ("face", min(orbit)))
+    for kind, origin in pair:
+        add(kind, origin)
+    saddle_point = {rep: add("saddle", ("edge", rep))
+                    for rep in range(0, m.n_darts, 2) if rep not in skipped}
+    if merged is not None:
+        vertex_point[v] = add(*merged)
     arcs = []
     for rep, s in saddle_point.items():
         for d in (rep, rep + 1):
             arcs.append(Separatrix(vertex_point[m.vertex_of(d)], s, d))
             arcs.append(Separatrix(s, face_point[m.face_of(d)], d))
+    return points, arcs, vertex_point, face_point
+
+
+def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
+    v0 = m.vertex_of(d0)
     far = m.alpha[d0]
+    points, arcs, vertex_point, face_point = _morse_skeleton(
+        m, v0, {min(d0, far)}, merged=("saddle-node-source", ("mark", d0)))
+    sn = vertex_point[v0]
     arcs.append(Separatrix(vertex_point[m.vertex_of(far)], sn, far))
     arcs.append(Separatrix(sn, face_point[m.face_of(d0)], d0))
     arcs.append(Separatrix(sn, face_point[m.face_of(far)], far))
@@ -223,23 +227,13 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
     t = m.vertex_of(p)
     a = m.sigma[p]
     b = m.sigma[a]
-    points, vertex_point, face_point = _morse_points(m, t)
-    lower = len(points)
-    points.append(SingularPoint(lower, "saddle", ("vertex", min(m.vertex_orbits[t]))))
-    upper = len(points)
-    points.append(SingularPoint(upper, "saddle", ("edge", min(p, m.alpha[p]))))
+    pair = (("saddle", ("vertex", min(m.vertex_orbits[t]))),
+            ("saddle", ("edge", min(p, m.alpha[p]))))
     skipped = {min(p, m.alpha[p]), min(a, m.alpha[a]), min(b, m.alpha[b])}
-    saddle_point = {}
-    for rep in range(0, m.n_darts, 2):
-        if rep not in skipped:
-            saddle_point[rep] = len(points)
-            points.append(SingularPoint(len(points), "saddle", ("edge", rep)))
-
-    arcs = []
-    for rep, s in saddle_point.items():
-        for d in (rep, rep + 1):
-            arcs.append(Separatrix(vertex_point[m.vertex_of(d)], s, d))
-            arcs.append(Separatrix(s, face_point[m.face_of(d)], d))
+    points, arcs, vertex_point, face_point = _morse_skeleton(m, t, skipped, pair)
+    # the pair follows the sources and the sinks
+    lower = len(vertex_point) + len(face_point)
+    upper = lower + 1
     # the lower saddle: stable manifold is the collinear pair, one unstable
     # separatrix is the connection, the other falls into the face of the
     # corner between the collinear darts
@@ -269,31 +263,3 @@ def realize(mm: MarkedMap) -> SeparatrixDiagram:
     if kind == "t":
         return _realize_t(mm.map, mm.mark.dart)
     raise InvalidMarkError(f"unknown mark kind {kind!r}")
-
-
-def diagram_census_check(n_saddles: int, mark_kind: str, *,
-                         allow_reflection: bool = True, jobs: int = 1) -> bool:
-    """Realize every enumerated class and verify all diagram invariants.
-
-    ``mark_kind`` is ``"source"``, ``"sink"`` or ``"t"``.  Returns True iff
-    every diagram is sound and has the expected number of singular points
-    (2n+1 for saddle-node flows, 2n+2 for saddle connections).
-    """
-    if mark_kind == "t":
-        classes = enumerate_t_marks(
-            n_saddles, allow_reflection=allow_reflection, jobs=jobs)
-        expected_points = 2 * n_saddles + 2
-    elif mark_kind in ("source", "sink"):
-        enum = (enumerate_source_marks if mark_kind == "source"
-                else enumerate_sink_marks)
-        cfg = GenerationConfig(n_saddles, allow_reflection, jobs)
-        classes = [mm for m in generate_maps(cfg)
-                   for mm in enum(m, allow_reflection=allow_reflection)]
-        expected_points = 2 * n_saddles + 1
-    else:
-        raise ValueError(f"unknown mark kind {mark_kind!r}")
-    for mm in classes:
-        dia = realize(mm)
-        if dia.check() or dia.n_points != expected_points:
-            return False
-    return True

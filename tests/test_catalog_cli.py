@@ -224,6 +224,28 @@ class TestCli:
         assert res.returncode == 2
 
 
+REPLAY = Path(__file__).resolve().parent.parent / "censusbench" / "replay.py"
+
+
+@pytest.mark.parametrize("command", [("saddle-node", "2"),
+                                     ("saddle-connection", "3")])
+def test_traced_replay_records_every_layer(command, tmp_path):
+    # the traced benchmark wraps the public names each layer calls in the
+    # next; a deleted or bypassed name shows here instead of in its runs
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
+    spans = tmp_path / "spans.json"
+    res = subprocess.run(
+        [sys.executable, str(REPLAY), str(spans), "bifurcations", *command],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(spans.read_text().splitlines()[0])
+    assert doc["rc"] == 0
+    names = {span[0] for span in doc["spans"]}
+    assert {"marks.enumerate", "realize.realize", "realize.check",
+            "catalog.build"} <= names
+
+
 def damage_catalog(doc, damage):
     """A catalog file's text with one defect."""
     if damage == "not-json":

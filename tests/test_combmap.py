@@ -40,6 +40,14 @@ class TestValidation:
         assert not res.ok
         assert "NotSpherical" in res.failures
 
+    def test_invalid_map_raises_on_every_check(self):
+        m = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="NotConnected"):
+                m.require_valid()
+        with pytest.raises(ValueError, match="NotConnected"):
+            MarkedMap(m, SourceMark(0))
+
     def test_alpha_with_fixed_point_reports_not_involution(self):
         res = CombinatorialMap((1, 0), (0, 1)).validate()
         assert "NotInvolution" in res.failures
@@ -56,20 +64,16 @@ class TestValidation:
 class TestOrbits:
     def test_loop_orbits(self):
         loop = CombinatorialMap((1, 0))
-        assert loop.orbits("vertices") == ((0, 1),)
-        assert loop.orbits("faces") == ((0,), (1,))
+        assert loop.vertex_orbits == ((0, 1),)
+        assert loop.face_orbits == ((0,), (1,))
 
     def test_segment_orbits(self):
         seg = CombinatorialMap((0, 1))
-        assert seg.orbits("vertices") == ((0,), (1,))
-        assert seg.orbits("faces") == ((0, 1),)
+        assert seg.vertex_orbits == ((0,), (1,))
+        assert seg.face_orbits == ((0, 1),)
 
     def test_theta_has_three_faces(self, named):
         assert named["theta"].n_faces == 3
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            CombinatorialMap((0, 1)).orbits("corners")
 
     @pytest.mark.parametrize("e", [1, 2, 3, 4])
     def test_orbit_partition_and_euler(self, e):
@@ -81,8 +85,9 @@ class TestOrbits:
     def test_faces_are_phi_orbits(self, named):
         for m in named.values():
             for orbit in m.face_orbits:
-                assert all(m.phi(d) in orbit for d in orbit)
-                assert m.face_of(m.phi(orbit[0])) == m.face_of(orbit[0])
+                assert all(m.sigma[m.alpha[d]] in orbit for d in orbit)
+                phi0 = m.sigma[m.alpha[orbit[0]]]
+                assert m.face_of(phi0) == m.face_of(orbit[0])
 
 
 class TestDual:

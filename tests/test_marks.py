@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from sphereflows import (GenerationConfig, InvalidMarkError,
+from sphereflows import (CombinatorialMap, GenerationConfig, InvalidMarkError,
                          MarkedMap, NotReversibleError,
                          SaddleCountOutOfRangeError, SinkMark, SourceMark,
                          TMark, enumerate_sink_marks, enumerate_source_marks,
-                         enumerate_t_marks, generate_maps,
+                         enumerate_t_marks, flow_classes, generate_maps,
                          marked_map_from_code, reverse,
                          saddle_connection_census, saddle_node_census,
                          t_connection_category)
@@ -71,6 +71,81 @@ class TestSinkMarks:
         for m in generate_maps(GenerationConfig(3)):
             for mm in enumerate_sink_marks(m):
                 assert not m.is_bridge(mm.mark.dart)
+
+
+def eligible(m, mark_cls):
+    """Every dart that can carry a mark of ``mark_cls`` on ``m``."""
+    if mark_cls is SourceMark:
+        return [d for d in range(m.n_darts) if not m.is_loop(d)]
+    if mark_cls is SinkMark:
+        return [d for d in range(m.n_darts) if not m.is_bridge(d)]
+    return [p for orbit in m.vertex_orbits if len(orbit) == 3
+            and not any(m.alpha[d] in orbit for d in orbit) for p in orbit]
+
+
+def oracle_classes(m, mark_cls, reflection):
+    candidates = [MarkedMap(m, mark_cls(d)) for d in eligible(m, mark_cls)]
+    return marked_classes(candidates, reflection)
+
+
+class TestMarkClassesPerMap:
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_saddle_node_classes_match_oracle(self, e, reflection):
+        for m in generate_maps(GenerationConfig(e, reflection)):
+            for enum, mark_cls in ((enumerate_source_marks, SourceMark),
+                                   (enumerate_sink_marks, SinkMark)):
+                found = enum(m, allow_reflection=reflection)
+                # one class each, and no class missed
+                assert len(marked_classes(found, reflection)) == len(found)
+                assert len(found) == len(oracle_classes(m, mark_cls, reflection))
+
+    @pytest.mark.parametrize("n,total", [(2, 5), (3, 36)])
+    def test_sensed_t_classes_match_oracle(self, n, total):
+        found = enumerate_t_marks(n, allow_reflection=False)
+        assert len(found) == total
+        grouped = 0
+        for m in generate_maps(GenerationConfig(n + 1, allow_reflection=False)):
+            on_m = [mm for mm in found if mm.map is m]
+            assert len(marked_classes(on_m, False)) == len(on_m)
+            assert len(on_m) == len(oracle_classes(m, TMark, False))
+            grouped += len(on_m)
+        assert grouped == total
+
+    def test_map_is_validated_once(self, named, monkeypatch):
+        calls = []
+        validate = CombinatorialMap.validate
+        monkeypatch.setattr(CombinatorialMap, "validate",
+                            lambda self: calls.append(self) or validate(self))
+        m = CombinatorialMap(named["theta"].sigma)
+        enumerate_source_marks(m)
+        enumerate_sink_marks(m)
+        MarkedMap(m, SourceMark(0))
+        assert calls == [m]
+
+
+class TestFlowClasses:
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("kind", ["saddle-node", "saddle-connection"])
+    def test_classes_in_code_order(self, kind, reflection):
+        codes = [mm.canonical_code(reflection)
+                 for mm in flow_classes(kind, 4, reflection)]
+        assert codes == sorted(set(codes))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            flow_classes("spiral", 2)
+
+    @pytest.mark.parametrize("kind,n,message", [
+        ("saddle-node", 0, "saddle-node flows need 1..4 saddles, got 0"),
+        ("saddle-node", 5, "saddle-node flows need 1..4 saddles, got 5"),
+        ("saddle-connection", 1, "saddle connections need 2..4 saddles, got 1"),
+        ("saddle-connection", 5, "saddle connections need 2..4 saddles, got 5"),
+    ])
+    def test_out_of_range(self, kind, n, message):
+        with pytest.raises(SaddleCountOutOfRangeError) as exc:
+            flow_classes(kind, n)
+        assert str(exc.value) == message
 
 
 class TestSaddleNodeCensus:
@@ -178,7 +253,7 @@ class TestReverse:
     def test_segment_source_reverses_to_loop_sink(self, named):
         flow1 = MarkedMap(named["segment"], SourceMark(0))
         flow7 = MarkedMap(named["loop"], SinkMark(0))
-        rev = flow1.reversed_flow()
+        rev = reverse(flow1)
         assert rev.mark.kind == "sink"
         assert rev.canonical_code() == flow7.canonical_code()
         assert reverse(flow1) == rev

@@ -5,9 +5,10 @@ import pytest
 
 from sphereflows import (GenerationConfig, InvalidMarkError, MarkedMap,
                          Separatrix, SeparatrixDiagram, SingularPoint,
-                         SinkMark, SourceMark, TMark, diagram_census_check,
-                         enumerate_sink_marks, enumerate_source_marks,
-                         enumerate_t_marks, generate_maps, realize)
+                         SinkMark, SourceMark, TMark, enumerate_sink_marks,
+                         enumerate_source_marks, enumerate_t_marks,
+                         generate_maps, realize)
+from sphereflows.catalog import build_bifurcation_catalog
 
 SN_KINDS = ("saddle-node-source", "saddle-node-sink")
 
@@ -87,7 +88,14 @@ class TestDiagramInvariants:
                                         (2, "source"), (2, "sink"), (2, "t"),
                                         (3, "source"), (3, "sink"), (3, "t")])
     def test_census_check(self, n, kind):
-        assert diagram_census_check(n, kind)
+        # building the catalog realizes and checks every class's diagram
+        catalog = build_bifurcation_catalog(
+            "saddle-connection" if kind == "t" else "saddle-node", n)
+        entries = [e for e in catalog.entries if e.mark["kind"] == kind]
+        assert entries
+        expected = 2 * n + 2 if kind == "t" else 2 * n + 1
+        for e in entries:
+            assert sum(e.singular_points.values()) == expected
 
     def test_all_diagrams_sound(self):
         for kind in ("source", "sink"):
@@ -121,7 +129,7 @@ class TestDiagramInvariants:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            diagram_census_check(2, "spiral")
+            build_bifurcation_catalog("spiral", 2)
 
     def test_realize_needs_marked_map(self, named):
         with pytest.raises(InvalidMarkError):
