@@ -6,8 +6,7 @@ each class realizes to a separatrix diagram.
 """
 
 from .combmap import (CanonicalCode, CombinatorialMap, InvalidMarkError,
-                      KindMismatchError, ValidationResult, are_equivalent,
-                      perm_from_cycles)
+                      ValidationResult)
 from .generate import (EdgeCountOutOfRangeError, GenerationConfig,
                        generate_maps)
 from .marks import (MarkedMap, NotReversibleError, SaddleConnectionCensus,
@@ -22,8 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalCode", "CombinatorialMap", "InvalidMarkError",
-    "KindMismatchError", "ValidationResult", "are_equivalent",
-    "perm_from_cycles",
+    "ValidationResult",
     "EdgeCountOutOfRangeError", "GenerationConfig", "generate_maps",
     "MarkedMap", "NotReversibleError", "SaddleConnectionCensus",
     "SaddleCountOutOfRangeError", "SaddleNodeCensus", "SinkMark",

@@ -17,14 +17,15 @@ from typing import NamedTuple, Optional
 from .combmap import CanonicalCode, CombinatorialMap
 from .generate import GenerationConfig, generate_maps
 from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                    FAR_SIDE_TWO_EDGES, MarkedMap, enumerate_sink_marks,
-                    enumerate_source_marks, flow_classes,
-                    marked_map_from_code, saddle_connection_census,
-                    saddle_node_census)
+                    FAR_SIDE_TWO_EDGES, MarkedMap, enumerate_source_marks,
+                    flow_classes, marked_map_from_code,
+                    saddle_connection_census, saddle_node_census)
 from .realize import realize
 
 SCHEMA_VERSION = 1
 
+# the published census covers flows with up to four saddles (ten points)
+PAPER_MAX_SADDLES = 4
 # class counts stated by the published census (conclusion table plus the
 # nine- and ten-point sub-breakdowns); keys of the flow table are numbers of
 # singular points
@@ -97,44 +98,15 @@ class CatalogEntry(namedtuple(
         )
 
 
-def entry_for_map(m: CombinatorialMap, labels: Optional[dict] = None,
-                  allow_reflection: bool = True) -> CatalogEntry:
-    """Catalog entry of an unmarked map; the point summary is its Morse flow."""
-    code = m.canonical_code(allow_reflection=allow_reflection).token()
-    labels = load_paper_labels() if labels is None else labels
-    return CatalogEntry(
-        code=code,
-        n_edges=m.n_edges,
-        n_vertices=m.n_vertices,
-        n_faces=m.n_faces,
-        degree_sequence=m.degree_sequence(),
-        mark=None,
-        singular_points={"source": m.n_vertices, "saddle": m.n_edges,
-                         "sink": m.n_faces},
-        paper_label=labels.get(code),
-    )
-
-
-def entry_for_marked(mm: MarkedMap, labels: Optional[dict] = None,
-                     allow_reflection: bool = True) -> CatalogEntry:
-    code_obj = mm.canonical_code(allow_reflection)
-    diagram = realize(mm)
-    issues = diagram.check()
-    if issues or diagram.n_points != mm.n_singular_points:
-        raise InternalInvariantError(
-            f"diagram of {code_obj.token()} violates invariants: {issues}")
-    labels = load_paper_labels() if labels is None else labels
-    kind, label = code_obj.mark
-    return CatalogEntry(
-        code=code_obj.token(),
-        n_edges=mm.map.n_edges,
-        n_vertices=mm.map.n_vertices,
-        n_faces=mm.map.n_faces,
-        degree_sequence=mm.map.degree_sequence(),
-        mark={"kind": kind, "dart": label},
-        singular_points=diagram.point_counts(),
-        paper_label=labels.get(code_obj.token()),
-    )
+def _entry(m: CombinatorialMap, code: CanonicalCode, labels: dict,
+           singular_points: dict) -> CatalogEntry:
+    """Catalog entry of ``m`` under its canonical code, marked or not."""
+    token = code.token()
+    mark = None if code.mark is None else {"kind": code.mark[0],
+                                           "dart": code.mark[1]}
+    return CatalogEntry(token, m.n_edges, m.n_vertices, m.n_faces,
+                        m.degree_sequence(), mark, singular_points,
+                        labels.get(token))
 
 
 class Catalog(NamedTuple):
@@ -180,9 +152,12 @@ class Catalog(NamedTuple):
         raise UnknownCodeError(code)
 
 
-def build_map_catalog(cfg: GenerationConfig, strategy: str = "auto") -> Catalog:
+def build_map_catalog(cfg: GenerationConfig, strategy: str = "grow") -> Catalog:
+    """Map catalog; each entry's point summary is the map's Morse flow."""
     labels = load_paper_labels()
-    entries = [entry_for_map(m, labels, cfg.allow_reflection)
+    entries = [_entry(m, m.canonical_code(allow_reflection=cfg.allow_reflection),
+                      labels, {"source": m.n_vertices, "saddle": m.n_edges,
+                               "sink": m.n_faces})
                for m in generate_maps(cfg, strategy)]
     return Catalog(
         kind="maps",
@@ -195,8 +170,15 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
                               allow_reflection: bool = True) -> Catalog:
     """Marked-map catalog: both saddle-node kinds together, or T marks."""
     labels = load_paper_labels()
-    entries = [entry_for_marked(mm, labels, allow_reflection)
-               for mm in flow_classes(kind, n_saddles, allow_reflection)]
+    entries = []
+    for mm in flow_classes(kind, n_saddles, allow_reflection):
+        code = mm.canonical_code(allow_reflection)
+        diagram = realize(mm)
+        issues = diagram.check()
+        if issues or diagram.n_points != mm.n_singular_points:
+            raise InternalInvariantError(
+                f"diagram of {code.token()} violates invariants: {issues}")
+        entries.append(_entry(mm.map, code, labels, diagram.point_counts()))
     return Catalog(
         kind=kind,
         params={"n_saddles": n_saddles, "allow_reflection": allow_reflection},
@@ -247,9 +229,6 @@ class CensusReport(NamedTuple):
     def dumps(self) -> str:
         return json.dumps(self.to_json_doc(), indent=2, sort_keys=True) + "\n"
 
-    def rows_in(self, section: str):
-        return [r for r in self.rows if r.section == section]
-
     def to_text(self) -> str:
         lines = []
         width = max(len(r.label) for r in self.rows) + 2
@@ -280,12 +259,12 @@ class CensusReport(NamedTuple):
 
 
 def build_census_report(allow_reflection: bool = True) -> CensusReport:
-    """Run the whole n <= 4 census suite and compare with the published table."""
+    """Run every census the paper covers and compare with its table."""
     rows = []
     notes = []
 
     map_counts = {}
-    for e in range(1, 6):
+    for e in range(1, PAPER_MAX_SADDLES + 2):
         maps = generate_maps(GenerationConfig(e, allow_reflection))
         map_counts[e] = len(maps)
         rows.append(ReportRow("spherical maps", f"{e}-edge maps", len(maps),
@@ -297,9 +276,9 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
             "38 four-edge graphs is incomplete")
 
     sn = {n: saddle_node_census(n, allow_reflection=allow_reflection)
-          for n in range(1, 5)}
+          for n in range(1, PAPER_MAX_SADDLES + 1)}
     sc = {n: saddle_connection_census(n, allow_reflection=allow_reflection)
-          for n in range(2, 5)}
+          for n in range(2, PAPER_MAX_SADDLES + 1)}
 
     flows = {
         3: ("saddle-node flows, 1 saddle", sn[1].total),
@@ -345,11 +324,12 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
         rows.append(ReportRow("10 points breakdown", cat_labels[cat],
                               sc[4].by_category[cat], PAPER_EXPECTED_SC4[cat]))
 
+    # the census rows follow the maps in code order
     maps4 = generate_maps(GenerationConfig(4, allow_reflection))
     duality_ok = all(
-        len(enumerate_sink_marks(m, allow_reflection=allow_reflection))
+        row.n_sink
         == len(enumerate_source_marks(m.dual(), allow_reflection=allow_reflection))
-        for m in maps4)
+        for m, row in zip(maps4, sn[4].rows))
     parity = {
         "source_classes": sn[4].total_source,
         "sink_classes": sn[4].total_sink,

@@ -1,8 +1,9 @@
 """Command line front end: deterministic catalogs, census report, exports.
 
 Exit codes: 0 on success, 2 on usage errors (bad arguments, unknown codes,
-unsupported formats, out-of-range counts, unreadable catalogs or codes), 1
-when an enumerated object fails its own structural checks.
+unsupported formats, out-of-range counts, unreadable catalogs or codes,
+unwritable output paths), 1 when an enumerated object fails its own
+structural checks.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from collections import Counter
 from pathlib import Path
 
 from . import catalog as cat
-from .generate import EdgeCountOutOfRangeError, GenerationConfig
-from .marks import SaddleCountOutOfRangeError
+from .generate import (MAX_EDGES, MIN_EDGES, EdgeCountOutOfRangeError,
+                       GenerationConfig)
+from .marks import (MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES,
+                    SaddleCountOutOfRangeError)
 
 
 class UsageError(Exception):
@@ -22,7 +25,10 @@ class UsageError(Exception):
 
 
 def _write(path: Path, text: str) -> None:
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
     print(f"wrote {path}")
 
 
@@ -45,9 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_maps = subs.add_parser(
         "maps", help="catalog of all maps with a given edge count")
-    p_maps.add_argument("edges", type=int, help="number of edges (1..5)")
-    p_maps.add_argument("--strategy", choices=("auto", "grow", "brute"),
-                        default="auto",
+    p_maps.add_argument("edges", type=int,
+                        help=f"number of edges ({MIN_EDGES}..{MAX_EDGES})")
+    p_maps.add_argument("--strategy", choices=("grow", "brute"),
+                        default="grow",
                         help="generation strategy (both give identical output)")
     _common_flags(p_maps)
 
@@ -55,13 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
         "bifurcations", help="catalog of marked maps of one bifurcation kind")
     p_bif.add_argument("kind", choices=("saddle-node", "saddle-connection"))
     p_bif.add_argument("saddles", type=int,
-                       help="saddle count (saddle-node 1..4, saddle-connection 2..4)")
+                       help=f"saddle count (saddle-node {SN_MIN_SADDLES}.."
+                            f"{MAX_SADDLES}, saddle-connection "
+                            f"{T_MIN_SADDLES}..{MAX_SADDLES})")
     _common_flags(p_bif)
 
     p_ver = subs.add_parser(
         "verify-paper",
-        help="run every census up to four saddles and compare with the "
-             "published classification")
+        help=f"run every census up to {cat.PAPER_MAX_SADDLES} saddles and "
+             "compare with the published classification")
     _common_flags(p_ver)
 
     p_exp = subs.add_parser("export", help="re-serialize catalog entries")

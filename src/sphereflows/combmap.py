@@ -26,15 +26,11 @@ catalog key.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 class InvalidMarkError(ValueError):
     """A mark does not fit the map it is attached to."""
-
-
-class KindMismatchError(TypeError):
-    """Equivalence was asked between objects of different mark kinds."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +58,6 @@ def perm_orbits(p: Sequence[int]) -> tuple:
                 x = p[x]
             out.append(tuple(orb))
     return tuple(out)
-
-
-def perm_from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> tuple:
-    """Permutation of 0..n-1 from a list of cycles; unlisted points are fixed."""
-    p = list(range(n))
-    for cyc in cycles:
-        for i, d in enumerate(cyc):
-            p[d] = cyc[(i + 1) % len(cyc)]
-    return tuple(p)
 
 
 def normal_alpha(n_edges: int) -> tuple:
@@ -286,6 +273,9 @@ class CanonicalCode(NamedTuple):
         if (len(sigma) != 2 * n_edges or len(alpha) != len(sigma)
                 or not _is_permutation(sigma) or not _is_permutation(alpha)):
             raise ValueError(f"code token is not a map on 2E darts: {token!r}")
+        if not _is_fpf_involution(alpha) or sphere_failures(sigma, alpha):
+            raise ValueError(
+                f"code token is not a connected spherical map: {token!r}")
         if mark is not None and (mark[0] not in _KIND_RANK
                                  or not 0 <= mark[1] < len(sigma)):
             raise ValueError(f"code token has an invalid mark: {token!r}")
@@ -445,10 +435,6 @@ class CombinatorialMap:
     def alpha(self) -> tuple:
         return self._alpha
 
-    @cached_property
-    def sigma_inv(self) -> tuple:
-        return perm_inverse(self._sigma)
-
     @property
     def n_darts(self) -> int:
         return len(self._sigma)
@@ -530,9 +516,6 @@ class CombinatorialMap:
     def degree_sequence(self) -> tuple:
         return tuple(sorted((len(o) for o in self.vertex_orbits), reverse=True))
 
-    def face_degree_sequence(self) -> tuple:
-        return tuple(sorted((len(o) for o in self.face_orbits), reverse=True))
-
     # -- derived maps
 
     def dual(self) -> "CombinatorialMap":
@@ -544,28 +527,6 @@ class CombinatorialMap:
         """
         phi = tuple(self._sigma[self._alpha[d]] for d in range(self.n_darts))
         return CombinatorialMap(phi, self._alpha)
-
-    def relabel(self, pi: Sequence[int]) -> "CombinatorialMap":
-        """The same map with darts renamed by the permutation ``pi``.
-
-        The constructor renormalizes alpha afterwards, so the final dart
-        names are ``pi`` composed with that pair renumbering; use a ``pi``
-        that commutes with alpha when dart identities must be tracked
-        across the relabeling (marks, for instance).
-        """
-        if not _is_permutation(tuple(pi)) or len(pi) != self.n_darts:
-            raise ValueError("relabeling must be a permutation of the darts")
-        n = self.n_darts
-        sigma = [0] * n
-        alpha = [0] * n
-        for d in range(n):
-            sigma[pi[d]] = pi[self._sigma[d]]
-            alpha[pi[d]] = pi[self._alpha[d]]
-        return CombinatorialMap(sigma, alpha)
-
-    def mirror(self) -> "CombinatorialMap":
-        """The orientation-reversed map (rotations inverted)."""
-        return CombinatorialMap(self.sigma_inv, self._alpha)
 
     # -- identification
 
@@ -599,18 +560,3 @@ class CombinatorialMap:
         cycles = "".join("(" + " ".join(map(str, orb)) + ")"
                          for orb in self.vertex_orbits)
         return f"CombinatorialMap({cycles!r}, edges={self.n_edges})"
-
-
-def are_equivalent(a, b, *, allow_reflection: bool = True) -> bool:
-    """Whether two maps, or two marked maps, are topologically equivalent.
-
-    Marked and unmarked objects never compare, nor do marks of different
-    kinds; such a comparison raises :class:`KindMismatchError`.
-    """
-    mark_a = getattr(getattr(a, "mark", None), "kind", None)
-    mark_b = getattr(getattr(b, "mark", None), "kind", None)
-    if mark_a != mark_b:
-        raise KindMismatchError(
-            f"cannot compare mark kind {mark_a!r} with {mark_b!r}")
-    return (a.canonical_code(allow_reflection=allow_reflection)
-            == b.canonical_code(allow_reflection=allow_reflection))

@@ -1,4 +1,4 @@
-"""Isomorph-free generation of connected spherical maps with 1..5 edges.
+"""Isomorph-free generation of connected spherical maps by edge count.
 
 Two strategies produce the identical catalog:
 
@@ -39,7 +39,7 @@ MAX_EDGES = 5
 
 
 class EdgeCountOutOfRangeError(ValueError):
-    """Edge count outside the supported range 1..5."""
+    """Edge count outside the supported range MIN_EDGES..MAX_EDGES."""
 
 
 class GenerationConfig(namedtuple("GenerationConfig",
@@ -274,14 +274,12 @@ def _grow(parents, allow_reflection: bool):
 _cache = {}
 
 
-def generate_maps(cfg: GenerationConfig, strategy: str = "auto"):
+def generate_maps(cfg: GenerationConfig, strategy: str = "grow"):
     """All connected spherical maps with ``cfg.n_edges`` edges, one per class.
 
     The list is sorted by canonical code and deterministic across runs,
     strategies and worker counts.
     """
-    if strategy == "auto":
-        strategy = "grow"
     if strategy not in ("brute", "grow"):
         raise ValueError(f"unknown strategy {strategy!r}")
     key = (cfg.n_edges, cfg.allow_reflection, strategy)

@@ -23,14 +23,16 @@ classes bijectively onto source-mark classes of the dual map.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import groupby
 from typing import NamedTuple
 
 from .combmap import CombinatorialMap, InvalidMarkError, MapMark, renormalize
-from .generate import GenerationConfig, generate_maps
+from .generate import MAX_EDGES, GenerationConfig, generate_maps
 
 T_MIN_SADDLES = 2
 SN_MIN_SADDLES = 1
-MAX_SADDLES = 4
+# a saddle connection with n saddles lives on a map with n + 1 edges
+MAX_SADDLES = MAX_EDGES - 1
 
 
 class SaddleCountOutOfRangeError(ValueError):
@@ -246,29 +248,30 @@ class SaddleNodeCensus(NamedTuple):
         return self.total_source + self.total_sink
 
     def source_by_vertex_count(self) -> dict:
-        return self._by_vertex_count("n_source")
-
-    def sink_by_vertex_count(self) -> dict:
-        return self._by_vertex_count("n_sink")
-
-    def _by_vertex_count(self, field: str) -> dict:
         out: dict = {}
         for row in self.rows:
-            out[row.n_vertices] = out.get(row.n_vertices, 0) + getattr(row, field)
+            out[row.n_vertices] = out.get(row.n_vertices, 0) + row.n_source
         return out
 
 
 def saddle_node_census(n_saddles: int, *,
                        allow_reflection: bool = True) -> SaddleNodeCensus:
-    """Count source- and sink-marked classes over all maps with n edges."""
+    """Count source- and sink-marked classes over all maps with n edges.
+
+    The rows group :func:`flow_classes` by map.  Every map has a row: a
+    non-loop edge carries source marks, and a loop, which borders two
+    distinct faces, carries sink marks.
+    """
     rows = []
-    for m in _maps_for("saddle-node", n_saddles, allow_reflection):
+    classes = flow_classes("saddle-node", n_saddles, allow_reflection)
+    for m, group in groupby(classes, key=lambda mm: mm.map):
+        kinds = [mm.mark.kind for mm in group]
         rows.append(SaddleNodeCensusRow(
             map_code=m.canonical_code(allow_reflection=allow_reflection).token(),
             n_vertices=m.n_vertices,
             n_faces=m.n_faces,
-            n_source=len(enumerate_source_marks(m, allow_reflection=allow_reflection)),
-            n_sink=len(enumerate_sink_marks(m, allow_reflection=allow_reflection)),
+            n_source=kinds.count("source"),
+            n_sink=kinds.count("sink"),
         ))
     return SaddleNodeCensus(
         n_saddles=n_saddles,
@@ -289,39 +292,26 @@ def t_connection_category(mm: MarkedMap) -> str:
 
     Cutting the marked edge either leaves all remaining edges in one
     component (including the case of a pendant perpendicular edge), or
-    separates a far component, away from the T-vertex, carrying one or two
-    edges.
+    separates a far component, away from the T-vertex, carrying one edge or
+    two or more edges; the last bucket is named "2 edges" after the
+    published census, where it holds exactly two for up to four saddles.
+    The walk starts at the far end of the cut edge and never crosses it;
+    it reaches the T-vertex exactly when the rest stays connected.
     """
     if mm.mark.kind != "t":
         raise InvalidMarkError("category applies to saddle-connection marks")
-    m = mm.map
-    p = mm.mark.dart
-    removed = {p, m.alpha[p]}
-    remaining = [d for d in range(m.n_darts) if d not in removed]
-    if not remaining:
-        return CONNECTED_AFTER_CUT
-
-    def sigma_skip(d):
-        nxt = m.sigma[d]
-        while nxt in removed:
-            nxt = m.sigma[nxt]
-        return nxt
-
-    far_vertex = m.vertex_of(m.alpha[p])
-    far_darts = [d for d in m.vertex_orbits[far_vertex] if d not in removed]
-    if not far_darts:
-        return CONNECTED_AFTER_CUT
-    seen = {far_darts[0]}
-    stack = [far_darts[0]]
+    m, p = mm.map, mm.mark.dart
+    seen = {p, m.alpha[p]}
+    stack = [m.alpha[p]]
     while stack:
         d = stack.pop()
-        for x in (sigma_skip(d), m.alpha[d]):
+        for x in (m.sigma[d], m.alpha[d]):
             if x not in seen:
                 seen.add(x)
                 stack.append(x)
-    if len(seen) == len(remaining):
+    far_edges = len(seen) // 2 - 1
+    if far_edges == 0 or m.sigma[p] in seen or m.sigma[m.sigma[p]] in seen:
         return CONNECTED_AFTER_CUT
-    far_edges = len(seen) // 2
     return FAR_SIDE_ONE_EDGE if far_edges == 1 else FAR_SIDE_TWO_EDGES
 
 

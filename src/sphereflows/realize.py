@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .combmap import CombinatorialMap, InvalidMarkError
-from .marks import MarkedMap, reverse
+from .marks import MarkedMap
 
 SADDLE_NODE_KINDS = ("saddle-node-source", "saddle-node-sink")
 
@@ -211,11 +211,10 @@ _FLIP_KIND = {"source": "sink", "sink": "source", "saddle": "saddle",
               "saddle-node-sink": "saddle-node-source"}
 
 
-def _realize_sink(mm: MarkedMap) -> SeparatrixDiagram:
+def _realize_sink(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
     # reversal of the source-type flow on the dual map; dart ids and orbit
     # representatives carry over because dual() keeps the dart labels
-    rev = reverse(mm)
-    dia = _realize_source(rev.map, rev.mark.dart)
+    dia = _realize_source(m.dual(), d0)
     points = tuple(SingularPoint(p.id, _FLIP_KIND[p.kind], _flip_origin(p.origin))
                    for p in dia.points)
     arcs = tuple(Separatrix(a.target, a.source, a.anchor)
@@ -259,7 +258,7 @@ def realize(mm: MarkedMap) -> SeparatrixDiagram:
     if kind == "source":
         return _realize_source(mm.map, mm.mark.dart)
     if kind == "sink":
-        return _realize_sink(mm)
+        return _realize_sink(mm.map, mm.mark.dart)
     if kind == "t":
         return _realize_t(mm.map, mm.mark.dart)
     raise InvalidMarkError(f"unknown mark kind {kind!r}")

@@ -1,6 +1,8 @@
 import pytest
 
-from sphereflows import CombinatorialMap, perm_from_cycles
+from sphereflows import CombinatorialMap
+
+from oracles import perm_from_cycles
 
 
 def build_named_maps():

@@ -11,12 +11,18 @@ left and right of a dart swap when the orientation flips.
 no comparison: the reference for the early-abort kernel in ``combmap``.
 ``rooted_sum`` weighs each class by ``2E/|Aut+|``, counting automorphisms
 with ``bfs_trace``, for comparison with Tutte's closed form.
+``far_side_edges`` sizes the component a T-vertex's perpendicular edge cuts
+off by union-find, the reference for ``t_connection_category``.
+
+``perm_from_cycles``, ``relabel`` and ``mirror`` build test inputs: maps
+from cycle notation, dart renamings and orientation reversals.
 """
 
 import math
 from itertools import permutations
 
-from sphereflows import GenerationConfig, MarkedMap, SourceMark, generate_maps
+from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
+                         SourceMark, generate_maps)
 
 
 def _inv(p):
@@ -24,6 +30,34 @@ def _inv(p):
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def perm_from_cycles(n, cycles):
+    """Permutation of 0..n-1 from a list of cycles; unlisted points are fixed."""
+    p = list(range(n))
+    for cyc in cycles:
+        for i, d in enumerate(cyc):
+            p[d] = cyc[(i + 1) % len(cyc)]
+    return tuple(p)
+
+
+def relabel(m, pi):
+    """The map ``m`` with darts renamed by the permutation ``pi``.
+
+    The constructor renormalizes alpha afterwards, so dart identities
+    survive only for a ``pi`` that commutes with alpha.
+    """
+    sigma = [0] * m.n_darts
+    alpha = [0] * m.n_darts
+    for d in range(m.n_darts):
+        sigma[pi[d]] = pi[m.sigma[d]]
+        alpha[pi[d]] = pi[m.alpha[d]]
+    return CombinatorialMap(sigma, alpha)
+
+
+def mirror(m):
+    """The orientation-reversed map (rotations inverted)."""
+    return CombinatorialMap(_inv(m.sigma), m.alpha)
 
 
 def _search(sig1, alf1, sig2, alf2, d1, d2):
@@ -147,3 +181,28 @@ def tutte_rooted(n):
     maps", 1963)."""
     return (2 * 3 ** n * math.factorial(2 * n)
             // (math.factorial(n) * math.factorial(n + 2)))
+
+
+def far_side_edges(mm):
+    """Edges left attached to the far end of a T mark's perpendicular edge
+    once that edge is cut, 0 when they stay attached to the T-vertex too.
+
+    Union-find over the vertices, joining the ends of every edge except the
+    perpendicular one.
+    """
+    m, p = mm.map, mm.mark.dart
+    parent = list(range(m.n_vertices))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    edges = [(d, m.alpha[d]) for d in range(m.n_darts)
+             if d < m.alpha[d] and p not in (d, m.alpha[d])]
+    for d, e in edges:
+        parent[root(m.vertex_of(d))] = root(m.vertex_of(e))
+    far = root(m.vertex_of(m.alpha[p]))
+    if far == root(m.vertex_of(p)):
+        return 0
+    return sum(1 for d, _ in edges if root(m.vertex_of(d)) == far)

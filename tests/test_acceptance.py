@@ -19,7 +19,7 @@ import pytest
 
 import sphereflows
 from sphereflows import (GenerationConfig, MarkedMap, TMark,
-                         are_equivalent, enumerate_sink_marks,
+                         enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
                          generate_maps, realize, reverse,
                          saddle_connection_census, saddle_node_census,
@@ -204,10 +204,12 @@ def test_criterion_3_three_saddle_published_total():
 
 def test_criterion_4_report_with_breakdowns_and_parity():
     report = build_census_report()
-    nine = {r.label: r for r in report.rows_in("9 points breakdown")}
-    ten = {r.expected: r for r in report.rows_in("10 points breakdown")}
-    flows = {r.label.split(" ")[0]: r
-             for r in report.rows_in("flows by singular points")}
+    nine = {r.label: r for r in report.rows
+            if r.section == "9 points breakdown"}
+    ten = {r.expected: r for r in report.rows
+           if r.section == "10 points breakdown"}
+    flows = {r.label.split(" ")[0]: r for r in report.rows
+             if r.section == "flows by singular points"}
 
     checks = {
         "9-point row prints computed beside 217":
@@ -239,7 +241,8 @@ def test_criterion_5_codes_match_exhaustive_search():
     pairs = 0
     for i, a in enumerate(maps):
         for b in maps[i:]:
-            assert are_equivalent(a, b) == maps_isomorphic(a, b)
+            assert (a.canonical_code() == b.canonical_code()) \
+                == maps_isomorphic(a, b)
             pairs += 1
 
     marked = {"source": [], "sink": [], "t": list(enumerate_t_marks(2))}
@@ -250,7 +253,7 @@ def test_criterion_5_codes_match_exhaustive_search():
         for i, a in enumerate(classes):
             for b in classes[i:]:
                 expected = marked_isomorphic(a, b)
-                assert are_equivalent(a, b) == expected
+                assert (a.canonical_code() == b.canonical_code()) == expected
                 assert expected == (a is b)
                 pairs += 1
     assert report_line("5", True,
@@ -266,7 +269,7 @@ def test_criterion_6_every_enumerated_object():
         for m in generate_maps(GenerationConfig(e)):
             if not m.validate().ok:
                 violations.append(f"map {m!r}")
-            if not are_equivalent(m.dual().dual(), m):
+            if m.dual().dual().canonical_code() != m.canonical_code():
                 violations.append(f"dual involution {m!r}")
     for n in range(1, 5):
         for m in generate_maps(GenerationConfig(n)):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import sphereflows
-from sphereflows import GenerationConfig, MarkedMap, SourceMark, realize
+from sphereflows import GenerationConfig, MarkedMap, SourceMark, cli, realize
 from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
-                                 UnknownCodeError, UnsupportedFormatError,
+                                 PAPER_MAX_SADDLES, UnknownCodeError,
+                                 UnsupportedFormatError,
                                  build_bifurcation_catalog, build_census_report,
                                  build_map_catalog, entry_to_dot,
                                  export_entries, load_paper_labels,
@@ -94,26 +96,28 @@ class TestCatalog:
 
 class TestCensusReport:
     def test_flow_rows_carry_expected_values(self, report):
-        rows = report.rows_in("flows by singular points")
+        rows = [r for r in report.rows if r.section == "flows by singular points"]
         assert [r.expected for r in rows] == [PAPER_EXPECTED_FLOWS[p]
                                               for p in range(3, 11)]
 
     def test_small_censuses_match(self, report):
         by_label = {r.label: r for r in report.rows}
         for pts in (3, 4, 5, 6):
-            row = next(r for r in report.rows_in("flows by singular points")
-                       if r.label.startswith(f"{pts} points"))
+            row = next(r for r in report.rows
+                       if r.section == "flows by singular points"
+                       and r.label.startswith(f"{pts} points"))
             assert row.match is True
 
     def test_nine_point_rows_have_deltas_and_parity(self, report):
-        breakdown = report.rows_in("9 points breakdown")
+        breakdown = [r for r in report.rows if r.section == "9 points breakdown"]
         assert any(r.expected == 64 for r in breakdown)
         assert any(r.expected == 89 for r in breakdown)
         assert report.parity["source_classes"] == report.parity["sink_classes"]
         assert report.parity["per_map_duality_bijection_verified"] is True
 
     def test_ten_point_categories(self, report):
-        rows = {r.expected: r for r in report.rows_in("10 points breakdown")}
+        rows = {r.expected: r for r in report.rows
+                if r.section == "10 points breakdown"}
         assert rows[16].match is True
         assert rows[14].match is True
         assert rows[130].computed == 135
@@ -198,6 +202,48 @@ class TestCli:
         assert res.stderr.splitlines() == ["error: --jobs must be at least 1, got 0"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ("maps", "2"),
+        ("bifurcations", "saddle-node", "2"),
+        ("verify-paper",),
+        ("export", "CATALOG", "--format", "json"),
+        ("export", "CATALOG", "--format", "dot"),
+    ])
+    def test_unwritable_out_exits_2(self, command, tmp_path, maps3, capsys):
+        catalog_path = tmp_path / "m3.json"
+        catalog_path.write_text(maps3.dumps())
+        out = tmp_path / "missing" / "x"
+        args = [str(catalog_path) if a == "CATALOG" else a for a in command]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+        assert "wrote" not in captured.out
+        assert sorted(tmp_path.iterdir()) == [catalog_path]
+
+    def test_help_shows_supported_ranges(self, capsys):
+        from sphereflows.generate import MAX_EDGES, MIN_EDGES
+        from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
+
+        expected = {
+            ("maps", "--help"): f"number of edges ({MIN_EDGES}..{MAX_EDGES})",
+            ("bifurcations", "--help"):
+                f"saddle count (saddle-node {SN_MIN_SADDLES}..{MAX_SADDLES}, "
+                f"saddle-connection {T_MIN_SADDLES}..{MAX_SADDLES})",
+            ("--help",): f"run every census up to {PAPER_MAX_SADDLES} saddles",
+        }
+        for argv, text in expected.items():
+            with pytest.raises(SystemExit):
+                cli.main(list(argv))
+            assert text in " ".join(capsys.readouterr().out.split())
+        assert MAX_SADDLES == MAX_EDGES - 1
+
+    def test_strategy_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["maps", "2", "--strategy", "auto"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'auto' (choose from 'grow', 'brute')" \
+            in capsys.readouterr().err
+
     def test_usage_error_exits_2(self):
         res = run_cli("maps")
         assert res.returncode == 2
@@ -260,19 +306,28 @@ def damage_catalog(doc, damage):
             del doc["entries"][0][key]
     elif damage == "schema-999":
         doc["schema_version"] = 999
-    elif damage == "bad-token":
-        doc["entries"][0]["code"] = "E:1;s:1,0;a:1,0;m:source,7"
+    elif damage in BAD_TOKENS:
+        doc["entries"][0]["code"] = BAD_TOKENS[damage]
     return json.dumps(doc)
+
+
+BAD_TOKENS = {
+    "bad-token": "E:1;s:1,0;a:1,0;m:source,7",
+    "torus-token": "E:2;s:1,2,3,0;a:2,3,0,1;m:-",
+    "disconnected-token": "E:2;s:0,1,2,3;a:1,0,3,2;m:-",
+    "identity-alpha-token": "E:1;s:0,1;a:0,1;m:-",
+}
 
 
 @pytest.mark.parametrize("damage", [
     "not-json", "not-an-object", "no-entries", "no-catalog", "no-params",
     "no-schema_version", "no-n_faces", "no-code", "schema-999", "bad-token",
+    "torus-token", "disconnected-token", "identity-alpha-token",
 ])
 def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
     catalog_path = tmp_path / "damaged.json"
     catalog_path.write_text(damage_catalog(maps3.to_json_doc(), damage))
-    for fmt in ("dot", "json") if damage == "bad-token" else ("dot",):
+    for fmt in ("dot", "json") if damage in BAD_TOKENS else ("dot",):
         res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
         assert res.returncode == 2, fmt
         assert len(res.stderr.splitlines()) == 1
@@ -291,3 +346,38 @@ def test_loads_rejects_other_schema_versions(maps3, version):
     with pytest.raises(ValueError):
         Catalog.loads(json.dumps(doc))
     assert Catalog.loads(maps3.dumps()) == maps3
+
+
+WORKLOADS = REPLAY.with_name("workloads.py")
+
+
+def _catalog_for(key):
+    """The catalog a benchmark reference key names, e.g. ``maps-e5-nr``."""
+    reflect = not key.endswith("-nr")
+    name, _, count = key.removesuffix("-nr").rpartition("-")
+    if name == "maps":
+        return build_map_catalog(GenerationConfig(int(count[1:]), reflect))
+    return build_bifurcation_catalog(name, int(count[1:]), reflect)
+
+
+def test_outputs_match_benchmark_digests(monkeypatch):
+    # the benchmark checks every catalog, report and export against these
+    # digests; digesting them here makes a changed byte fail the tests too
+    spec = importlib.util.spec_from_file_location("censusbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    reference = workloads.REFERENCE
+    texts = {}
+    for key, expected in reference["catalogs"].items():
+        texts[key] = _catalog_for(key).dumps()
+        assert workloads.digest(json.loads(texts[key])["entries"]) == expected, key
+    doc = json.loads(build_census_report().dumps())
+    assert workloads.digest({"rows": doc["rows"], "parity": doc["parity"]}) \
+        == reference["reports"]["paper-census"]
+    for key, expected in reference["exports"].items():
+        name, fmt = key.split(":")
+        text = export_entries(list(Catalog.loads(texts[name]).entries), fmt)
+        assert workloads.export_digest(fmt, text) == expected, key

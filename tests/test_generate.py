@@ -175,6 +175,8 @@ def test_six_edge_level_reproduces_rooted_map_number():
 def test_unknown_strategy():
     with pytest.raises(ValueError):
         generate_maps(GenerationConfig(2), strategy="magic")
+    with pytest.raises(ValueError):
+        generate_maps(GenerationConfig(2), strategy="auto")
 
 
 @pytest.mark.parametrize("e", [0, 6, -1])

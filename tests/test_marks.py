@@ -13,7 +13,8 @@ from sphereflows import (CombinatorialMap, GenerationConfig, InvalidMarkError,
 from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                                FAR_SIDE_TWO_EDGES)
 
-from oracles import marked_classes, source_class_count
+from oracles import (far_side_edges, marked_classes, relabel,
+                     source_class_count)
 
 
 class TestMarkLegality:
@@ -174,7 +175,22 @@ class TestSaddleNodeCensus:
         c = saddle_node_census(4)
         assert (c.total_source, c.total_sink) == (163, 163)
         assert c.source_by_vertex_count() == {1: 0, 2: 25, 3: 70, 4: 56, 5: 12}
-        assert c.sink_by_vertex_count() == {1: 12, 2: 56, 3: 70, 4: 25, 5: 0}
+        sinks = {}
+        for row in c.rows:
+            sinks[row.n_vertices] = sinks.get(row.n_vertices, 0) + row.n_sink
+        assert sinks == {1: 12, 2: 56, 3: 70, 4: 25, 5: 0}
+
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_per_map_enumerators(self, n, reflection):
+        c = saddle_node_census(n, allow_reflection=reflection)
+        expected = [
+            (m.canonical_code(allow_reflection=reflection).token(),
+             m.n_vertices, m.n_faces,
+             len(enumerate_source_marks(m, allow_reflection=reflection)),
+             len(enumerate_sink_marks(m, allow_reflection=reflection)))
+            for m in generate_maps(GenerationConfig(n, reflection))]
+        assert [tuple(row) for row in c.rows] == expected
 
     def test_four_saddles_matches_exhaustive_search(self):
         # puts the published-217 refutation on brute-force footing (the sink
@@ -234,6 +250,15 @@ class TestTMarks:
                                       FAR_SIDE_TWO_EDGES: 16,
                                       FAR_SIDE_ONE_EDGE: 14}
 
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_category_matches_union_find(self, n, reflection):
+        expected = {0: CONNECTED_AFTER_CUT, 1: FAR_SIDE_ONE_EDGE}
+        for mm in enumerate_t_marks(n, allow_reflection=reflection):
+            far = far_side_edges(mm)
+            assert t_connection_category(mm) \
+                == expected.get(far, FAR_SIDE_TWO_EDGES), mm
+
     def test_category_on_pendant_perpendicular(self, named):
         # Y-graph: cutting the perpendicular leg strands a bare vertex
         mm = MarkedMap(named["star3"], TMark(0))
@@ -289,7 +314,7 @@ class TestClassInvariance:
         for m in generate_maps(GenerationConfig(3)):
             pi = list(range(m.n_darts))
             rng.shuffle(pi)
-            other = m.relabel(pi)
+            other = relabel(m, pi)
             for enum in (enumerate_source_marks, enumerate_sink_marks):
                 assert ({mm.canonical_code() for mm in enum(m)}
                         == {mm.canonical_code() for mm in enum(other)})

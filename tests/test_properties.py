@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
-                         MarkedMap, SourceMark, are_equivalent,
+                         MarkedMap, SourceMark,
                          enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
 from sphereflows.combmap import normal_alpha
+
+from oracles import relabel
 
 
 def catalog(e, reflection=True):
@@ -32,7 +34,7 @@ def test_catalogs_closed_under_dual(e):
     tokens = {m.canonical_code().token() for m in catalog(e)}
     for m in catalog(e):
         assert m.dual().canonical_code().token() in tokens
-        assert are_equivalent(m.dual().dual(), m)
+        assert m.dual().dual().canonical_code() == m.canonical_code()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -96,14 +98,14 @@ def map_with_relabeling(draw):
 @settings(max_examples=60, deadline=None)
 def test_code_is_relabeling_invariant(case):
     m, pi = case
-    assert m.relabel(pi).canonical_code() == m.canonical_code()
+    assert relabel(m, pi).canonical_code() == m.canonical_code()
 
 
 @given(map_with_relabeling())
 @settings(max_examples=40, deadline=None)
 def test_source_classes_are_relabeling_invariant(case):
     m, pi = case
-    other = m.relabel(pi)
+    other = relabel(m, pi)
     assert ({mm.canonical_code() for mm in enumerate_source_marks(m)}
             == {mm.canonical_code() for mm in enumerate_source_marks(other)})
 
@@ -131,7 +133,7 @@ def test_marked_code_transports_through_relabeling(case):
     if not darts:
         return
     mm = MarkedMap(m, SourceMark(darts[0]))
-    other = MarkedMap(m.relabel(pi), SourceMark(pi[darts[0]]))
+    other = MarkedMap(relabel(m, pi), SourceMark(pi[darts[0]]))
     assert other.canonical_code() == mm.canonical_code()
 
 
@@ -141,7 +143,8 @@ def test_random_rotation_system_lands_in_the_catalog(e, data):
     sigma = data.draw(st.permutations(range(2 * e)))
     m = CombinatorialMap(sigma, normal_alpha(e))
     if m.validate().ok:
-        matches = [c for c in catalog(e) if are_equivalent(m, c)]
+        matches = [c for c in catalog(e)
+                   if m.canonical_code() == c.canonical_code()]
         assert len(matches) == 1
     else:
         assert {"NotConnected", "NotSpherical"} & set(m.validate().failures)
