@@ -186,8 +186,12 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
     )
 
 
-def resolve_marked(entry: CatalogEntry) -> MarkedMap:
-    return marked_map_from_code(CanonicalCode.from_token(entry.code))
+def resolve(entry: CatalogEntry):
+    """The flow an entry's token names: its ``MarkedMap``, or ``(map, None)``
+    for an unmarked token.  ValueError unless the token is sound and its
+    mark is legal on its map."""
+    code = CanonicalCode.from_token(entry.code)
+    return (code.to_map(), None) if code.mark is None else marked_map_from_code(code)
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +377,8 @@ def entry_to_dot(entry: CatalogEntry) -> str:
     No geometric embedding is implied: nodes are vertex orbits, one edge
     line per map edge.
     """
-    code = CanonicalCode.from_token(entry.code)
-    if code.mark is None:
-        m = code.to_map()
-        mark_kind, mark_dart = None, None
-    else:
-        mm = marked_map_from_code(code)
-        m, mark_kind, mark_dart = mm.map, mm.mark.kind, mm.mark.dart
+    m, mark = resolve(entry)
+    mark_kind, mark_dart = (None, None) if mark is None else (mark.kind, mark.dart)
     lines = [f'graph "{entry.code}" {{']
     for i, orbit in enumerate(m.vertex_orbits):
         attrs = f"degree={len(orbit)}"
@@ -419,12 +418,12 @@ def diagram_to_dict(mm: MarkedMap) -> dict:
 def export_entries(entries, fmt: str) -> str:
     """Serialize catalog entries as json, dot or diagram-json text.
 
-    Every format parses each entry's code token, so an invalid token raises
-    ValueError.
+    Every format resolves each entry's code token, so an invalid token or a
+    mark that is illegal on its map raises ValueError.
     """
     if fmt == "json":
         for e in entries:
-            CanonicalCode.from_token(e.code)
+            resolve(e)
         doc = [e.to_dict() for e in entries]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "dot":
@@ -432,9 +431,10 @@ def export_entries(entries, fmt: str) -> str:
     if fmt == "diagram-json":
         doc = []
         for e in entries:
-            if e.mark is None:
+            mm = resolve(e)
+            if mm[1] is None:
                 raise UnsupportedFormatError(
                     f"diagram-json needs marked entries; {e.code} has no mark")
-            doc.append({"code": e.code, "diagram": diagram_to_dict(resolve_marked(e))})
+            doc.append({"code": e.code, "diagram": diagram_to_dict(mm)})
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     raise UnsupportedFormatError(f"unsupported export format {fmt!r}")

@@ -16,9 +16,11 @@ codes: the lexicographic minimum, over all start darts and (if allowed) both
 orientations, of a breadth-first relabeling trace.  One kernel computes it,
 comparing each start's trace with the least so far while emitting it and
 abandoning the start at its first larger entry; it returns the least trace
-and every start that attains it.  A mark's code is that trace followed by
-the least mark value over those winning starts, so one kernel run per map
-and reflection mode serves the map and every mark on it.  Codes serialize
+and every start that attains it.  ``canonical_code_for`` is its one entry
+and returns the code with those winning starts.  A mark's code is that
+trace followed by the least mark value over the winners, so one kernel run
+per map and reflection mode serves the map and every mark on it; grow
+reads its test of a new edge off the winners too.  Codes serialize
 to the text token ``E:<n>;s:<...>;a:<...>;m:<kind,label|->`` used as
 catalog key.
 """
@@ -356,38 +358,19 @@ def _least_trace(sigma, alpha, allow_reflection: bool = True):
     return tuple(best), winners
 
 
-def _with_mark(code: CanonicalCode, winners, alpha,
-               mark: MapMark) -> CanonicalCode:
-    """``code`` completed by the least mark value over the winning starts.
+def canonical_code_for(sigma, alpha, allow_reflection: bool):
+    """Unmarked canonical code of a connected map given by raw permutations,
+    and the starts that attain it.
 
-    All winners share the least trace, so this equals the minimum over every
-    start of the trace followed by the mark's value.
+    This is the one entry into the kernel :func:`_least_trace`.  Returns
+    ``(code, winners)``: the least BFS relabeling trace over all start darts
+    and, with ``allow_reflection``, both orientations, split into the
+    code's two label rows, and the ``(reflected, labels)`` of every start
+    that attains it, one per automorphism.  A mark's code and grow's test
+    of a new edge are read off the winners without another kernel run.
     """
-    value = min(mark.trace_value(labels, alpha, reflected)
-                for reflected, labels in winners)
-    return CanonicalCode(code.n_edges, code.sigma_images, code.alpha_images,
-                         (mark.kind, value))
-
-
-def _code_and_winners(sigma, alpha, allow_reflection: bool):
-    """The unmarked canonical code and the winners of :func:`_least_trace`."""
     trace, winners = _least_trace(sigma, alpha, allow_reflection)
     return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
-
-
-def canonical_code_for(sigma, alpha, mark: Optional[MapMark] = None,
-                       allow_reflection: bool = True) -> CanonicalCode:
-    """Canonical code of the connected (marked) map given by raw permutations.
-
-    The code is the least BFS relabeling trace over all start darts and,
-    with ``allow_reflection``, both orientations (see :func:`_least_trace`,
-    which abandons each start at its first entry above the least so far).
-    A mark adds the least of its trace values over the starts that attain
-    that trace, which is the lexicographic minimum of the trace followed by
-    the mark value over all starts.
-    """
-    code, winners = _code_and_winners(tuple(sigma), alpha, allow_reflection)
-    return code if mark is None else _with_mark(code, winners, alpha, mark)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +523,16 @@ class CombinatorialMap:
             mark.check_on(self)
         least = self._least.get(allow_reflection)
         if least is None:
-            least = self._least[allow_reflection] = _code_and_winners(
+            least = self._least[allow_reflection] = canonical_code_for(
                 self._sigma, self._alpha, allow_reflection)
         code, winners = least
         if mark is None:
             return code
-        return _with_mark(code, winners, self._alpha, mark)
+        # every winner attains the least trace, so the least mark value over
+        # them completes the least trace-and-mark over all starts
+        value = min(mark.trace_value(labels, self._alpha, reflected)
+                    for reflected, labels in winners)
+        return CanonicalCode(*code[:3], (mark.kind, value))
 
     # -- dunder
 

@@ -18,8 +18,9 @@ Two strategies produce the identical catalog:
   each class is reached from a single parent class.  An invariant of each
   removable edge (sorted endpoint degrees, sorted side-face degrees), read
   off the parent in O(E), rejects most children before the child is built;
-  the canonical-labeling kernel runs only on the rest, once each.  Grow
-  runs in the calling process and ignores ``jobs``.
+  the canonical-labeling kernel runs only on the rest, once each, and its
+  winning starts, one per automorphism, say whether the new edge is
+  canonical.  Grow runs in the calling process and ignores ``jobs``.
 
 The returned representatives are rebuilt from their canonical codes, so the
 output is byte-identical across strategies, run order and worker counts.
@@ -31,8 +32,8 @@ import math
 from collections import namedtuple
 from itertools import islice, permutations
 
-from .combmap import (CombinatorialMap, MapMark, canonical_code_for,
-                      normal_alpha, sphere_failures)
+from .combmap import (CombinatorialMap, canonical_code_for, normal_alpha,
+                      sphere_failures)
 
 MIN_EDGES = 1
 MAX_EDGES = 5
@@ -66,7 +67,7 @@ def _brute_chunk(n_edges: int, allow_reflection: bool, start: int, stop: int):
     codes = set()
     for sigma in islice(permutations(range(2 * n_edges)), start, stop):
         if not sphere_failures(sigma, alpha):
-            codes.add(canonical_code_for(sigma, alpha, None, allow_reflection))
+            codes.add(canonical_code_for(sigma, alpha, allow_reflection)[0])
     return codes
 
 
@@ -210,37 +211,16 @@ def _child_sigma(sigma, c1: int, c2):
     return s
 
 
-class _AddedEdge(MapMark):
-    """The new edge of a child, against the removable edges tied with it.
-
-    Under a start's labels its value is the least label of the edge minus
-    the least label of any tied edge.  The tied edges are closed under
-    automorphisms, so that second term is the same for every winning start,
-    and the least value over the winners is 0 exactly when an automorphism
-    takes the new edge to the tied edge with the least canonical label.
-    """
-
-    __slots__ = ("_tied",)
-    kind = "added"
-
-    def __init__(self, dart: int, tied):
-        super().__init__(dart)
-        self._tied = tied
-
-    def trace_value(self, labels, alpha, reflected):
-        d = self._dart
-        return (min(labels[d], labels[alpha[d]])
-                - min(min(labels[t], labels[alpha[t]]) for t in self._tied))
-
-
 def _accepted_code(parent: CombinatorialMap, c1: int, c2, invariants,
                    allow_reflection: bool):
     """The child's canonical code if its new edge is canonical, else None.
 
-    The new edge is canonical when no removable edge has a smaller
-    invariant and an automorphism of the child takes it to the edge with
-    the least canonical label among those tied with it.  The first test
-    needs only the invariants; the second runs the kernel once.
+    The new edge (darts ``n`` and ``n + 1``) is canonical when no removable
+    edge has a smaller invariant and an automorphism of the child takes it
+    to the edge with the least canonical label among those tied with it,
+    that is when some winning start of the kernel gives it the least label
+    of the tied edges.  The first test needs only the invariants; the
+    second runs the kernel once.
     """
     new = invariants[-1]
     for inv in invariants:
@@ -248,10 +228,13 @@ def _accepted_code(parent: CombinatorialMap, c1: int, c2, invariants,
             return None
     tied = [2 * e for e, inv in enumerate(invariants) if inv == new]
     n = parent.n_darts
-    code = canonical_code_for(_child_sigma(parent.sigma, c1, c2),
-                              normal_alpha(n // 2 + 1), _AddedEdge(n, tied),
-                              allow_reflection)
-    return code._replace(mark=None) if code.mark[1] == 0 else None
+    code, winners = canonical_code_for(_child_sigma(parent.sigma, c1, c2),
+                                       normal_alpha(n // 2 + 1),
+                                       allow_reflection)
+    for _, labels in winners:
+        if min(tied, key=lambda d: min(labels[d], labels[d + 1])) == n:
+            return code
+    return None
 
 
 def _grow(parents, allow_reflection: bool):

@@ -183,6 +183,19 @@ def tutte_rooted(n):
             // (math.factorial(n) * math.factorial(n + 2)))
 
 
+def sensed_source_classes(n):
+    """Source-marked classes with ``n`` edges up to orientation-preserving
+    homeomorphism, from Tutte's numbers alone.
+
+    Orientation-preserving automorphisms act freely on darts, so a class of
+    (map, source dart) is a rooted map whose root edge is not a loop.  A
+    root loop splits a rooted map into one inside and one outside it, with
+    ``i + j = n - 1`` edges (the vertex map counts once for 0 edges).
+    """
+    return tutte_rooted(n) - sum(tutte_rooted(i) * tutte_rooted(n - 1 - i)
+                                 for i in range(n))
+
+
 def far_side_edges(mm):
     """Edges left attached to the far end of a T mark's perpendicular edge
     once that edge is cut, 0 when they stay attached to the T-vertex too.

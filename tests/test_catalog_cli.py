@@ -14,8 +14,7 @@ from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  UnsupportedFormatError,
                                  build_bifurcation_catalog, build_census_report,
                                  build_map_catalog, entry_to_dot,
-                                 export_entries, load_paper_labels,
-                                 resolve_marked)
+                                 export_entries, load_paper_labels, resolve)
 
 
 def run_cli(*args, cwd=None):
@@ -74,7 +73,7 @@ class TestCatalog:
 
     def test_marked_summary_matches_realize(self, bifs2):
         for e in bifs2.entries:
-            mm = resolve_marked(e)
+            mm = resolve(e)
             assert realize(mm).point_counts() == e.singular_points
             assert e.mark["kind"] == mm.mark.kind
 
@@ -316,6 +315,11 @@ BAD_TOKENS = {
     "torus-token": "E:2;s:1,2,3,0;a:2,3,0,1;m:-",
     "disconnected-token": "E:2;s:0,1,2,3;a:1,0,3,2;m:-",
     "identity-alpha-token": "E:1;s:0,1;a:0,1;m:-",
+    # marks that are illegal on their map: on a loop, on a bridge, and at a
+    # vertex of degree 1
+    "source-on-loop-token": "E:1;s:1,0;a:1,0;m:source,0",
+    "sink-on-bridge-token": "E:1;s:0,1;a:1,0;m:sink,0",
+    "t-at-leaf-token": "E:1;s:0,1;a:1,0;m:t,0",
 }
 
 
@@ -323,6 +327,7 @@ BAD_TOKENS = {
     "not-json", "not-an-object", "no-entries", "no-catalog", "no-params",
     "no-schema_version", "no-n_faces", "no-code", "schema-999", "bad-token",
     "torus-token", "disconnected-token", "identity-alpha-token",
+    "source-on-loop-token", "sink-on-bridge-token", "t-at-leaf-token",
 ])
 def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
     catalog_path = tmp_path / "damaged.json"

@@ -1,10 +1,14 @@
 import random
+import sys
 
 import pytest
 
+import sphereflows.combmap as combmap
+import sphereflows.generate as gen
 from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          InvalidMarkError, MarkedMap, SinkMark, SourceMark,
                          TMark, generate_maps)
+from sphereflows.catalog import build_census_report
 from sphereflows.combmap import _least_trace, normal_alpha
 
 from oracles import all_traces, maps_isomorphic, mirror, relabel
@@ -168,6 +172,29 @@ class TestLeastTraceKernel:
                 expected = CanonicalCode(e, best[:-1:2], best[1:-1:2],
                                          (mark.kind, best[-1]))
                 assert m.canonical_code(mark, reflection) == expected, mark
+
+    def test_every_kernel_run_goes_through_canonical_code_for(self, monkeypatch):
+        # both are wrapped wherever they were imported, as the benchmark's
+        # traced replay wraps canonical_code_for, so that the replay's count
+        # of canonical codes is the count of kernel runs
+        calls = {"_least_trace": 0, "canonical_code_for": 0}
+        modules = [mod for name, mod in sys.modules.items()
+                   if name.split(".")[0] == "sphereflows"]
+        for name in calls:
+            fn = getattr(combmap, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counted)
+        monkeypatch.setattr(gen, "_cache", {})
+        build_census_report()
+        generate_maps(GenerationConfig(3), strategy="brute")
+        assert calls["canonical_code_for"] == calls["_least_trace"] > 0
 
     def test_disconnected_map_has_no_code(self):
         m = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))

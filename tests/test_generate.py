@@ -137,7 +137,7 @@ def test_gate_invariants_match_child_orbits(e, reflection):
 
 
 @pytest.mark.parametrize("reflection", [True, False])
-@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
 def test_gate_and_accept_match_the_full_rule(e, reflection):
     accepted = set()
     for m, c1, c2, invariants, child in children(e, reflection):
@@ -149,7 +149,9 @@ def test_gate_and_accept_match_the_full_rule(e, reflection):
         if code is not None:
             assert code == child.canonical_code(allow_reflection=reflection)
             accepted.add(code)
-    grown = generate_maps(GenerationConfig(e + 1, reflection))
+    # six edges lie beyond GenerationConfig's range
+    grown = (six_edge_maps(reflection) if e == 5
+             else generate_maps(GenerationConfig(e + 1, reflection)))
     assert sorted(accepted) == [m.canonical_code(allow_reflection=reflection)
                                 for m in grown]
 

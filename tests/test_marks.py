@@ -14,7 +14,7 @@ from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                                FAR_SIDE_TWO_EDGES)
 
 from oracles import (far_side_edges, marked_classes, relabel,
-                     source_class_count)
+                     sensed_source_classes, source_class_count)
 
 
 class TestMarkLegality:
@@ -191,6 +191,12 @@ class TestSaddleNodeCensus:
              len(enumerate_sink_marks(m, allow_reflection=reflection)))
             for m in generate_maps(GenerationConfig(n, reflection))]
         assert [tuple(row) for row in c.rows] == expected
+
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 5), (3, 32), (4, 234)])
+    def test_sensed_counts_match_rooted_maps(self, n, count):
+        # sink classes follow from source classes through duality
+        c = saddle_node_census(n, allow_reflection=False)
+        assert c.total_source == c.total_sink == sensed_source_classes(n) == count
 
     def test_four_saddles_matches_exhaustive_search(self):
         # puts the published-217 refutation on brute-force footing (the sink

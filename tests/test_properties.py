@@ -10,6 +10,7 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
+from sphereflows.catalog import CatalogEntry, export_entries
 from sphereflows.combmap import normal_alpha
 
 from oracles import relabel
@@ -205,3 +206,19 @@ def test_mutated_tokens_rebuild_or_raise_value_error(token):
             realize(marked_map_from_code(code))
     except ValueError:
         pass
+
+
+@given(mutated_token())
+@settings(max_examples=300, deadline=None)
+def test_json_and_dot_exports_agree_on_mutated_tokens(token):
+    # both formats resolve the token and its mark, so they accept the same
+    # entries
+    entry = CatalogEntry(token, 1, 2, 1, (1, 1))
+    exported = []
+    for fmt in ("json", "dot"):
+        try:
+            export_entries([entry], fmt)
+            exported.append(True)
+        except ValueError:
+            exported.append(False)
+    assert exported[0] == exported[1], token
