@@ -36,8 +36,7 @@ def _common_flags(sub):
     sub.add_argument("--no-reflections", action="store_true",
                      help="distinguish mirror images (default identifies them)")
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker count of maps --strategy brute, ignored "
-                          "otherwise; output does not depend on it")
+                     help="accepted for compatibility, at least 1; changes nothing")
     sub.add_argument("--out", type=Path, default=None, metavar="PATH",
                      help="output file (default depends on the subcommand)")
 

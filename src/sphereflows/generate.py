@@ -2,11 +2,13 @@
 
 Two strategies produce the identical catalog:
 
-* ``brute`` -- the reference: alpha fixed in pair normal form, every
-  permutation of the darts tried as sigma, rotation systems that are not
-  connected and spherical filtered out, survivors deduplicated by
-  canonical code.  With ``jobs > 1`` the permutations are split over a
-  pool of worker processes.
+* ``brute`` -- the reference: every rooted rotation with E edges
+  (:func:`_rooted_rotations`), those that are not spherical filtered out,
+  the rest deduplicated by canonical code.  A rooted map has exactly one
+  labeling with the root as dart 0, alpha in pair normal form and edges
+  numbered as darts read in label order first reach them along ``sigma``,
+  so the rooted rotations are the rooted maps of any genus, and a
+  spherical class appears ``2E / |Aut+|`` times among them.
 * ``grow`` -- the default, by canonical construction paths (McKay,
   "Isomorph-free exhaustive generation", 1998): maps with E edges are
   built from one map per class with E-1 edges by joining two corners of a
@@ -20,17 +22,15 @@ Two strategies produce the identical catalog:
   off the parent in O(E), rejects most children before the child is built;
   the canonical-labeling kernel runs only on the rest, once each, and its
   winning starts, one per automorphism, say whether the new edge is
-  canonical.  Grow runs in the calling process and ignores ``jobs``.
+  canonical.
 
 The returned representatives are rebuilt from their canonical codes, so the
-output is byte-identical across strategies, run order and worker counts.
+output is byte-identical across strategies and run order.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from itertools import islice, permutations
 
 from .combmap import (CombinatorialMap, canonical_code_for, normal_alpha,
                       sphere_failures)
@@ -45,11 +45,8 @@ class EdgeCountOutOfRangeError(ValueError):
 
 class GenerationConfig(namedtuple("GenerationConfig",
                                   "n_edges allow_reflection jobs")):
-    """Parameters of a generation run.
-
-    ``jobs`` is the worker count of the brute strategy; grow ignores it, and
-    results never depend on it.
-    """
+    """Parameters of a generation run.  ``jobs`` must be at least 1 and
+    changes nothing; it is kept so that existing callers still work."""
 
     __slots__ = ()
 
@@ -62,31 +59,33 @@ class GenerationConfig(namedtuple("GenerationConfig",
         return super().__new__(cls, n_edges, allow_reflection, jobs)
 
 
-def _brute_chunk(n_edges: int, allow_reflection: bool, start: int, stop: int):
-    alpha = normal_alpha(n_edges)
-    codes = set()
-    for sigma in islice(permutations(range(2 * n_edges)), start, stop):
-        if not sphere_failures(sigma, alpha):
-            codes.add(canonical_code_for(sigma, alpha, allow_reflection)[0])
-    return codes
+def _rooted_rotations(n_edges: int):
+    """Every rooted rotation with ``n_edges`` edges: a ``sigma`` equal to its
+    relabeling from root dart 0, in which each rotation successor not seen
+    yet, reading darts in label order, is ``2k``, the first dart of the next
+    edge.  Rotations are connected: a branch that runs out of labeled darts
+    before the end is dropped."""
+    n = 2 * n_edges
+    sigma, used = [0] * n, [False] * n
+
+    def fill(d, labeled):
+        if d == n:
+            yield tuple(sigma)
+        elif d < labeled:
+            for v in range(min(labeled + 1, n)):
+                if not used[v]:
+                    sigma[d], used[v] = v, True
+                    yield from fill(d + 1, labeled + 2 if v == labeled else labeled)
+                    used[v] = False
+
+    return fill(0, 2)
 
 
 def _brute(cfg: GenerationConfig):
-    total = math.factorial(2 * cfg.n_edges)
-    if cfg.jobs <= 1:
-        return _brute_chunk(cfg.n_edges, cfg.allow_reflection, 0, total)
-    # imported here so that runs without workers skip multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    n_chunks = cfg.jobs * 4
-    bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-    codes = set()
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        for part in pool.map(_brute_chunk, [cfg.n_edges] * n_chunks,
-                             [cfg.allow_reflection] * n_chunks,
-                             bounds[:-1], bounds[1:]):
-            codes |= part
-    return codes
+    alpha = normal_alpha(cfg.n_edges)
+    return {canonical_code_for(sigma, alpha, cfg.allow_reflection)[0]
+            for sigma in _rooted_rotations(cfg.n_edges)
+            if not sphere_failures(sigma, alpha)}
 
 
 def _augmentations(m: CombinatorialMap):
@@ -260,8 +259,8 @@ _cache = {}
 def generate_maps(cfg: GenerationConfig, strategy: str = "grow"):
     """All connected spherical maps with ``cfg.n_edges`` edges, one per class.
 
-    The list is sorted by canonical code and deterministic across runs,
-    strategies and worker counts.
+    The list is sorted by canonical code and deterministic across runs and
+    strategies.
     """
     if strategy not in ("brute", "grow"):
         raise ValueError(f"unknown strategy {strategy!r}")

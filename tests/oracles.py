@@ -11,6 +11,8 @@ left and right of a dart swap when the orientation flips.
 no comparison: the reference for the early-abort kernel in ``combmap``.
 ``rooted_sum`` weighs each class by ``2E/|Aut+|``, counting automorphisms
 with ``bfs_trace``, for comparison with Tutte's closed form.
+``rooted_any_genus`` counts the rooted maps of any genus, the rotations
+the brute strategy enumerates before its sphere filter.
 ``far_side_edges`` sizes the component a T-vertex's perpendicular edge cuts
 off by union-find, the reference for ``t_connection_category``.
 
@@ -194,6 +196,21 @@ def sensed_source_classes(n):
     """
     return tutte_rooted(n) - sum(tutte_rooted(i) * tutte_rooted(n - 1 - i)
                                  for i in range(n))
+
+
+def rooted_any_genus(e):
+    """Rooted maps with ``e`` edges on orientable surfaces of any genus
+    (Walsh & Lehman, "Counting rooted maps by genus I", 1972; OEIS
+    A000698): ``a(e + 1)`` with ``a(1) = 1`` and
+    ``a(n) = (2n-1)!! - sum(k = 1..n-1) (2k-1)!! a(n-k)``."""
+    double_factorial = [1]  # (2k - 1)!! for k = 0, 1, ...
+    for k in range(1, e + 2):
+        double_factorial.append(double_factorial[-1] * (2 * k - 1))
+    a = [0, 1]
+    for n in range(2, e + 2):
+        a.append(double_factorial[n] - sum(double_factorial[k] * a[n - k]
+                                           for k in range(1, n)))
+    return a[e + 1]
 
 
 def far_side_edges(mm):

@@ -309,6 +309,7 @@ def run_cli(args, cwd):
 @pytest.mark.parametrize("command", [
     ("maps", "3"),
     ("maps", "2", "--strategy", "brute"),
+    ("maps", "4", "--strategy", "brute"),
     ("bifurcations", "saddle-node", "2"),
     ("bifurcations", "saddle-connection", "3"),
     ("verify-paper",),

@@ -6,9 +6,10 @@ import pytest
 import sphereflows.generate as gen
 from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
                          GenerationConfig, generate_maps)
-from sphereflows.combmap import normal_alpha
+from sphereflows.combmap import normal_alpha, sphere_failures
 
-from oracles import all_traces, rooted_count, rooted_sum, tutte_rooted
+from oracles import (all_traces, rooted_any_genus, rooted_count, rooted_sum,
+                     tutte_rooted)
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -24,13 +25,24 @@ def test_map_counts(e, count):
     assert len(generate_maps(GenerationConfig(e))) == count
 
 
-@pytest.mark.parametrize("e", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
 def test_brute_equals_grow(e):
     for reflection in (True, False):
         cfg = GenerationConfig(e, reflection)
         grow = generate_maps(cfg, strategy="grow")
         brute = generate_maps(cfg, strategy="brute")
         assert [m.sigma for m in grow] == [m.sigma for m in brute], reflection
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+def test_brute_enumerates_each_rooted_map_once(e):
+    # the counts are closed forms, so no canonical code is involved
+    rotations = list(gen._rooted_rotations(e))
+    assert len(rotations) == len(set(rotations)) == rooted_any_genus(e)
+    alpha = normal_alpha(e)
+    assert all(sorted(sigma) == list(range(2 * e)) for sigma in rotations)
+    spherical = [s for s in rotations if not sphere_failures(s, alpha)]
+    assert len(spherical) == tutte_rooted(e)
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])

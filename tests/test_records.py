@@ -20,19 +20,36 @@ from sphereflows.catalog import (CatalogEntry, CensusReport, ReportRow,
 HEAVY_MODULES = ("dataclasses", "concurrent.futures", "multiprocessing")
 
 
-def test_cli_import_loads_no_pool_or_dataclasses():
-    # modules the interpreter loaded at start-up are not the package's doing
-    code = ("import sys; before = set(sys.modules); import sphereflows.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
+def modules_loaded_by(statement):
+    """Modules a fresh interpreter loads while running ``statement``;
+    modules loaded at start-up are not the package's doing."""
+    code = ("import sys; before = set(sys.modules); " + statement
+            + "; print(' '.join(sorted(set(sys.modules) - before)))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
-    loaded = res.stdout.split()
+    return res.stdout.split()
+
+
+def heavy(loaded):
+    return [m for m in loaded if m.split(".")[0] in HEAVY_MODULES
+            or m in HEAVY_MODULES]
+
+
+def test_cli_import_loads_no_pool_or_dataclasses():
+    loaded = modules_loaded_by("import sphereflows.cli")
     assert "sphereflows.cli" in loaded
-    assert [m for m in loaded if m.split(".")[0] in HEAVY_MODULES
-            or m in HEAVY_MODULES] == []
+    assert heavy(loaded) == []
+
+
+def test_brute_with_jobs_starts_no_workers():
+    loaded = modules_loaded_by(
+        "from sphereflows import GenerationConfig, generate_maps; "
+        "generate_maps(GenerationConfig(4, jobs=8), 'brute')")
+    assert "sphereflows.generate" in loaded
+    assert heavy(loaded) == []
 
 
 class TestMarks:
