@@ -5,8 +5,7 @@ enumerate the saddle-node and saddle-connection bifurcation structures, and
 each class realizes to a separatrix diagram.
 """
 
-from .combmap import (CanonicalCode, CombinatorialMap, InvalidMarkError,
-                      ValidationResult)
+from .combmap import CanonicalCode, CombinatorialMap, InvalidMarkError
 from .generate import (EdgeCountOutOfRangeError, GenerationConfig,
                        generate_maps)
 from .marks import (MarkedMap, NotReversibleError, SaddleConnectionCensus,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalCode", "CombinatorialMap", "InvalidMarkError",
-    "ValidationResult",
     "EdgeCountOutOfRangeError", "GenerationConfig", "generate_maps",
     "MarkedMap", "NotReversibleError", "SaddleConnectionCensus",
     "SaddleCountOutOfRangeError", "SaddleNodeCensus", "SinkMark",

@@ -72,18 +72,6 @@ class CatalogEntry(namedtuple(
                                degree_sequence, mark, singular_points,
                                paper_label)
 
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "n_edges": self.n_edges,
-            "n_vertices": self.n_vertices,
-            "n_faces": self.n_faces,
-            "degree_sequence": list(self.degree_sequence),
-            "mark": dict(self.mark) if self.mark else None,
-            "singular_points": dict(self.singular_points),
-            "paper_label": self.paper_label,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogEntry":
         return cls(
@@ -119,7 +107,7 @@ class Catalog(NamedTuple):
             "schema_version": SCHEMA_VERSION,
             "catalog": self.kind,
             "params": dict(self.params),
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [e._asdict() for e in self.entries],
         }
 
     def dumps(self) -> str:
@@ -424,7 +412,7 @@ def export_entries(entries, fmt: str) -> str:
     if fmt == "json":
         for e in entries:
             resolve(e)
-        doc = [e.to_dict() for e in entries]
+        doc = [e._asdict() for e in entries]
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "dot":
         return "".join(entry_to_dot(e) for e in entries)

@@ -7,7 +7,8 @@ edges the orbits of ``alpha`` and faces the orbits of ``phi = sigma∘alpha``
 (``phi(d) = sigma(alpha(d))``, the face to the left of ``d``).  A valid map
 is connected and satisfies Euler's formula ``V - E + F = 2``, i.e. it
 encodes a graph embedded in the 2-sphere up to orientation-preserving
-homeomorphism.
+homeomorphism.  The constructor is the one place this is checked, so
+every ``CombinatorialMap`` is valid by construction.
 
 Identification up to *all* homeomorphisms (the default everywhere in this
 package) additionally quotients by orientation reversal, which on rotation
@@ -77,10 +78,6 @@ def _is_permutation(p) -> bool:
     return True
 
 
-def _is_fpf_involution(p) -> bool:
-    return all(p[d] != d and p[p[d]] == d for d in range(len(p)))
-
-
 def _is_transitive(sigma, alpha) -> bool:
     n = len(sigma)
     seen = bytearray(n)
@@ -131,15 +128,12 @@ def renormalize(sigma: Sequence[int], alpha: Sequence[int]):
     """Relabel darts so that alpha becomes the pair normal form.
 
     Edges are renumbered in order of their first dart.  Returns
-    ``(sigma', alpha', relabel)`` where ``relabel[old] = new``.  If alpha is
-    not a fixed-point-free involution the input is returned unchanged (the
-    map will then fail validation).
+    ``(sigma', alpha', relabel)`` where ``relabel[old] = new``; raises
+    ValueError unless alpha is a fixed-point-free involution.
     """
-    sigma = tuple(sigma)
-    alpha = tuple(alpha)
-    if not _is_fpf_involution(alpha):
-        return sigma, alpha, tuple(range(len(sigma)))
     n = len(sigma)
+    if not all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n)):
+        raise ValueError("invalid map: NotInvolution")
     relabel = [-1] * n
     nxt = 0
     for d in range(n):
@@ -151,23 +145,6 @@ def renormalize(sigma: Sequence[int], alpha: Sequence[int]):
     for d in range(n):
         new_sigma[relabel[d]] = relabel[sigma[d]]
     return tuple(new_sigma), normal_alpha(n // 2), tuple(relabel)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-class ValidationResult(NamedTuple):
-    """Outcome of the three structural checks on a map.
-
-    ``failures`` is a subset of ``{"NotInvolution", "NotConnected",
-    "NotSpherical"}`` naming the violated invariants.
-    """
-
-    ok: bool
-    failures: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class MapMark:
@@ -272,12 +249,13 @@ class CanonicalCode(NamedTuple):
                 mark = (kind, int(label))
         except (AttributeError, KeyError, ValueError) as exc:
             raise ValueError(f"malformed code token: {token!r}") from exc
-        if (len(sigma) != 2 * n_edges or len(alpha) != len(sigma)
-                or not _is_permutation(sigma) or not _is_permutation(alpha)):
-            raise ValueError(f"code token is not a map on 2E darts: {token!r}")
-        if not _is_fpf_involution(alpha) or sphere_failures(sigma, alpha):
+        try:
+            if len(sigma) != 2 * n_edges:
+                raise ValueError(f"{len(sigma)} darts for {n_edges} edges")
+            CombinatorialMap(sigma, alpha)
+        except ValueError as exc:
             raise ValueError(
-                f"code token is not a connected spherical map: {token!r}")
+                f"code token is not a valid map: {token!r} ({exc})") from exc
         if mark is not None and (mark[0] not in _KIND_RANK
                                  or not 0 <= mark[1] < len(sigma)):
             raise ValueError(f"code token has an invalid mark: {token!r}")
@@ -377,12 +355,14 @@ def canonical_code_for(sigma, alpha, allow_reflection: bool):
 # the map class
 
 class CombinatorialMap:
-    """An embedded spherical graph, immutable after construction.
+    """An embedded spherical graph, valid by construction and immutable.
 
     ``alpha`` may be any fixed-point-free involution at the boundary; darts
     are relabeled on construction so that it becomes the pair normal form
-    ``(0 1)(2 3)...``.  All operations are pure; instances are safe to share
-    between threads.
+    ``(0 1)(2 3)...``.  The constructor raises ValueError naming each
+    failure (``NotInvolution``, ``NotConnected``, ``NotSpherical``) unless
+    the rotation system is a connected map on the sphere.  All operations
+    are pure; instances are safe to share between threads.
 
     >>> segment = CombinatorialMap((0, 1), (1, 0))
     >>> loop = CombinatorialMap((1, 0), (1, 0))
@@ -390,6 +370,9 @@ class CombinatorialMap:
     (2, 1)
     >>> loop.n_vertices, loop.n_faces
     (1, 2)
+    >>> CombinatorialMap((2, 3, 1, 0))  # two interleaved loops: a torus
+    Traceback (most recent call last):
+    ValueError: invalid map: NotSpherical
     """
 
     def __init__(self, sigma: Sequence[int], alpha: Optional[Sequence[int]] = None):
@@ -403,10 +386,10 @@ class CombinatorialMap:
         if not _is_permutation(sigma) or not _is_permutation(alpha):
             raise ValueError("sigma and alpha must be permutations of 0..2E-1")
         self._sigma, self._alpha, _ = renormalize(sigma, alpha)
+        self.validate()
         # per reflection mode: the unmarked code and the winning starts, from
         # which the code of every mark on this map follows
         self._least = {}
-        self._valid = False
 
     # -- basic data
 
@@ -428,22 +411,12 @@ class CombinatorialMap:
 
     # -- validation
 
-    def validate(self) -> ValidationResult:
-        """Check involution, connectivity and sphericity; report failures."""
-        failures = []
-        if not _is_fpf_involution(self._alpha):
-            failures.append("NotInvolution")
-        failures += sphere_failures(self._sigma, self._alpha)
-        return ValidationResult(not failures, tuple(failures))
-
-    def require_valid(self) -> "CombinatorialMap":
-        """Raise ValueError unless valid; a success is remembered."""
-        if not self._valid:
-            res = self.validate()
-            if not res.ok:
-                raise ValueError(f"invalid map: {', '.join(res.failures)}")
-            self._valid = True
-        return self
+    def validate(self) -> None:
+        """Raise ValueError naming the failures unless the map is connected
+        and spherical; the constructor runs it once."""
+        failures = sphere_failures(self._sigma, self._alpha)
+        if failures:
+            raise ValueError(f"invalid map: {', '.join(failures)}")
 
     # -- cells
 

@@ -266,13 +266,8 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "grow"):
         raise ValueError(f"unknown strategy {strategy!r}")
     key = (cfg.n_edges, cfg.allow_reflection, strategy)
     if key not in _cache:
-        if strategy == "brute":
+        if strategy == "brute" or cfg.n_edges == 1:
             codes = _brute(cfg)
-        elif cfg.n_edges == 1:
-            segment = CombinatorialMap((0, 1))
-            loop = CombinatorialMap((1, 0))
-            codes = {m.canonical_code(allow_reflection=cfg.allow_reflection)
-                     for m in (segment, loop)}
         else:
             parents = generate_maps(
                 GenerationConfig(cfg.n_edges - 1, cfg.allow_reflection, cfg.jobs),

@@ -104,7 +104,6 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
     __slots__ = ()
 
     def __new__(cls, map: CombinatorialMap, mark: Mark):
-        map.require_valid()
         mark.check_on(map)
         mark.validate_on(map)
         return super().__new__(cls, map, mark)
@@ -151,14 +150,12 @@ def _mark_classes(m: CombinatorialMap, mark_cls, darts, allow_reflection):
 
 def enumerate_source_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, source mark), ordered by code."""
-    m.require_valid()
     darts = [d for d in range(m.n_darts) if not m.is_loop(d)]
     return _mark_classes(m, SourceMark, darts, allow_reflection)
 
 
 def enumerate_sink_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, sink mark), ordered by code."""
-    m.require_valid()
     darts = [d for d in range(m.n_darts) if not m.is_bridge(d)]
     return _mark_classes(m, SinkMark, darts, allow_reflection)
 

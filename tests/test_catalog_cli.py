@@ -51,7 +51,7 @@ class TestCatalog:
 
     def test_entry_round_trip(self, bifs2):
         for e in bifs2.entries:
-            assert CatalogEntry.from_dict(json.loads(json.dumps(e.to_dict()))) == e
+            assert CatalogEntry.from_dict(json.loads(json.dumps(e._asdict()))) == e
 
     def test_paper_labels_cover_small_catalogs(self, maps3):
         labels = {e.paper_label for e in maps3.entries}

@@ -9,7 +9,8 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          InvalidMarkError, MarkedMap, SinkMark, SourceMark,
                          TMark, generate_maps)
 from sphereflows.catalog import build_census_report
-from sphereflows.combmap import _least_trace, normal_alpha
+from sphereflows.combmap import (_least_trace, canonical_code_for,
+                                 normal_alpha, sphere_failures)
 
 from oracles import all_traces, maps_isomorphic, mirror, relabel
 
@@ -24,36 +25,28 @@ def all_maps(max_edges=3, reflection=True):
 class TestValidation:
     def test_segment_is_valid(self):
         m = CombinatorialMap((0, 1), (1, 0))
-        assert m.validate().ok
+        assert m.validate() is None
         assert (m.n_vertices, m.n_faces) == (2, 1)
 
     def test_loop_is_valid(self):
         m = CombinatorialMap((1, 0), (1, 0))
-        assert m.validate().ok
+        assert m.validate() is None
         assert (m.n_vertices, m.n_faces) == (1, 2)
 
     def test_two_disjoint_segments_not_connected(self):
-        res = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2)).validate()
-        assert not res.ok
-        assert "NotConnected" in res.failures
+        assert "NotConnected" in sphere_failures((0, 1, 2, 3), (1, 0, 3, 2))
+        with pytest.raises(ValueError, match="NotConnected"):
+            CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
 
     def test_interleaved_loops_not_spherical(self):
         # two loops at one vertex with alternating rotation close up a torus
-        res = CombinatorialMap((2, 3, 1, 0), (1, 0, 3, 2)).validate()
-        assert not res.ok
-        assert "NotSpherical" in res.failures
-
-    def test_invalid_map_raises_on_every_check(self):
-        m = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="NotConnected"):
-                m.require_valid()
-        with pytest.raises(ValueError, match="NotConnected"):
-            MarkedMap(m, SourceMark(0))
+        assert sphere_failures((2, 3, 1, 0), (1, 0, 3, 2)) == ["NotSpherical"]
+        with pytest.raises(ValueError, match="NotSpherical"):
+            CombinatorialMap((2, 3, 1, 0), (1, 0, 3, 2))
 
     def test_alpha_with_fixed_point_reports_not_involution(self):
-        res = CombinatorialMap((1, 0), (0, 1)).validate()
-        assert "NotInvolution" in res.failures
+        with pytest.raises(ValueError, match="NotInvolution"):
+            CombinatorialMap((1, 0), (0, 1))
 
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
@@ -197,9 +190,8 @@ class TestLeastTraceKernel:
         assert calls["canonical_code_for"] == calls["_least_trace"] > 0
 
     def test_disconnected_map_has_no_code(self):
-        m = CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
         with pytest.raises(ValueError):
-            m.canonical_code()
+            canonical_code_for((0, 1, 2, 3), (1, 0, 3, 2), True)
 
 
 class TestCanonicalCode:
@@ -223,7 +215,6 @@ class TestCanonicalCode:
         # a valid 3-edge map with edges paired as (0,3)(1,4)(2,5)
         m = CombinatorialMap((1, 2, 0, 5, 4, 3), (3, 4, 5, 0, 1, 2))
         assert m.alpha == normal_alpha(3)
-        assert m.validate().ok
         assert sum(m.canonical_code() == other.canonical_code()
                    for other in all_maps(3)) == 1
 

@@ -70,9 +70,13 @@ def test_random_witnesses_hit_exactly_one_class(e):
     for _ in range(1000):
         sigma = darts[:]
         rng.shuffle(sigma)
-        m = CombinatorialMap(sigma, alpha)
-        if m.validate().ok:
+        failures = sphere_failures(sigma, alpha)
+        if failures:
+            with pytest.raises(ValueError, match=failures[0]):
+                CombinatorialMap(sigma, alpha)
+        else:
             hits += 1
+            m = CombinatorialMap(sigma, alpha)
             assert m.canonical_code().token() in codes
     assert hits > 0
 
@@ -83,7 +87,7 @@ def test_every_child_is_valid(e, reflection):
     for m in generate_maps(GenerationConfig(e, reflection)):
         for c1, c2, _ in gen._augmentations(m):
             sigma = gen._child_sigma(m.sigma, c1, c2)
-            assert CombinatorialMap(sigma).validate().ok, (m, sigma)
+            assert not sphere_failures(sigma, normal_alpha(e + 1)), (m, sigma)
 
 
 def test_parallel_runs_match_serial(monkeypatch):

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from sphereflows import (CombinatorialMap, GenerationConfig, InvalidMarkError,
-                         MarkedMap, NotReversibleError,
+from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
+                         InvalidMarkError, MarkedMap, NotReversibleError,
                          SaddleCountOutOfRangeError, SinkMark, SourceMark,
                          TMark, enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, flow_classes, generate_maps,
@@ -41,6 +41,11 @@ class TestMarkLegality:
     def test_mark_dart_out_of_range(self, named):
         with pytest.raises(InvalidMarkError):
             MarkedMap(named["segment"], SourceMark(9))
+
+    def test_hand_built_code_without_involution_is_rejected(self):
+        code = CanonicalCode(1, (0, 1), (0, 1), ("source", 0))
+        with pytest.raises(ValueError, match="NotInvolution"):
+            marked_map_from_code(code)
 
 
 class TestSourceMarks:
@@ -119,6 +124,7 @@ class TestMarkClassesPerMap:
         monkeypatch.setattr(CombinatorialMap, "validate",
                             lambda self: calls.append(self) or validate(self))
         m = CombinatorialMap(named["theta"].sigma)
+        assert calls == [m]
         enumerate_source_marks(m)
         enumerate_sink_marks(m)
         MarkedMap(m, SourceMark(0))

@@ -11,7 +11,7 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
 from sphereflows.catalog import CatalogEntry, export_entries
-from sphereflows.combmap import normal_alpha
+from sphereflows.combmap import normal_alpha, sphere_failures
 
 from oracles import relabel
 
@@ -23,8 +23,7 @@ def catalog(e, reflection=True):
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
 def test_every_generated_map_is_valid(e):
     for m in catalog(e):
-        res = m.validate()
-        assert res.ok, res.failures
+        assert not sphere_failures(m.sigma, m.alpha)
         assert all(m.alpha[m.alpha[d]] == d and m.alpha[d] != d
                    for d in range(m.n_darts))
         assert m.n_vertices - m.n_edges + m.n_faces == 2
@@ -142,13 +141,16 @@ def test_marked_code_transports_through_relabeling(case):
 @settings(max_examples=60, deadline=None)
 def test_random_rotation_system_lands_in_the_catalog(e, data):
     sigma = data.draw(st.permutations(range(2 * e)))
-    m = CombinatorialMap(sigma, normal_alpha(e))
-    if m.validate().ok:
+    failures = sphere_failures(sigma, normal_alpha(e))
+    if failures:
+        assert set(failures) <= {"NotConnected", "NotSpherical"}
+        with pytest.raises(ValueError, match=", ".join(failures)):
+            CombinatorialMap(sigma, normal_alpha(e))
+    else:
+        m = CombinatorialMap(sigma, normal_alpha(e))
         matches = [c for c in catalog(e)
                    if m.canonical_code() == c.canonical_code()]
         assert len(matches) == 1
-    else:
-        assert {"NotConnected", "NotSpherical"} & set(m.validate().failures)
 
 
 @cache
