@@ -2,6 +2,8 @@
 
 Catalog files are single JSON documents with a schema version and entries
 sorted by canonical code token, so they are stable, diffable artifacts.
+:func:`json_text` writes them, the report and every JSON export byte for
+byte as ``json.dumps(doc, indent=2, sort_keys=True)`` does, plus a newline.
 The census report compares every computed class count with the value stated
 in the published classification and never asserts: disagreements are
 reported with per-category deltas and explanatory notes.
@@ -14,11 +16,11 @@ from collections import namedtuple
 from importlib import resources
 from typing import NamedTuple, Optional
 
-from .combmap import CanonicalCode, CombinatorialMap
+from .combmap import CanonicalCode, CombinatorialMap, parse_token
 from .generate import GenerationConfig, generate_maps
 from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                    FAR_SIDE_TWO_EDGES, MarkedMap, enumerate_source_marks,
-                    flow_classes, marked_map_from_code,
+                    FAR_SIDE_TWO_EDGES, MARK_CLASSES, MarkedMap,
+                    enumerate_source_marks, flow_classes,
                     saddle_connection_census, saddle_node_census)
 from .realize import realize
 
@@ -46,6 +48,48 @@ class UnsupportedFormatError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """An enumerated object failed its own structural checks."""
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+_scalar = json.JSONEncoder().encode
+_string = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
+    str-keyed dicts, lists, tuples, str, int, float, bool and None; the stdlib
+    writes indented JSON in pure Python, this walks ``obj`` once."""
+    out = []
+    _write(obj, "\n", out.append)
+    return "".join(out) + "\n"
+
+
+def _write(o, nl: str, put) -> None:
+    """Give ``put`` the fragments of ``o`` indented after line break ``nl``."""
+    t = type(o)
+    if t is dict or t is list or t is tuple:
+        if not o:
+            return put("{}" if t is dict else "[]")
+        inner = nl + "  "
+        sep = ("{" if t is dict else "[") + inner
+        for k in (sorted(o) if t is dict else o):
+            head, v = (sep + _string(k) + ": ", o[k]) if t is dict else (sep, k)
+            # strings and ints, most leaves, skip the call
+            if type(v) is str:
+                put(head + _string(v))
+            elif type(v) is int:
+                put(head + int.__repr__(v))
+            else:
+                put(head)
+                _write(v, inner, put)
+            sep = "," + inner
+        put(nl + ("}" if t is dict else "]"))
+    elif t in (str, int, float, bool) or o is None:
+        put(_scalar(o))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def load_paper_labels() -> dict:
@@ -86,15 +130,22 @@ class CatalogEntry(namedtuple(
         )
 
 
+def _mark_field(mark: Optional[tuple]) -> Optional[dict]:
+    """A code's ``(kind, label)`` mark as a catalog entry spells it."""
+    return None if mark is None else {"kind": mark[0], "dart": mark[1]}
+
+
 def _entry(m: CombinatorialMap, code: CanonicalCode, labels: dict,
            singular_points: dict) -> CatalogEntry:
     """Catalog entry of ``m`` under its canonical code, marked or not."""
     token = code.token()
-    mark = None if code.mark is None else {"kind": code.mark[0],
-                                           "dart": code.mark[1]}
     return CatalogEntry(token, m.n_edges, m.n_vertices, m.n_faces,
-                        m.degree_sequence(), mark, singular_points,
-                        labels.get(token))
+                        m.degree_sequence(), _mark_field(code.mark),
+                        singular_points, labels.get(token))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
 
 
 class Catalog(NamedTuple):
@@ -111,25 +162,18 @@ class Catalog(NamedTuple):
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json_doc(cls, doc: dict) -> "Catalog":
-        return cls(
-            kind=doc["catalog"],
-            params=dict(doc["params"]),
-            entries=tuple(CatalogEntry.from_dict(d) for d in doc["entries"]),
-        )
+        return json_text(self.to_json_doc())
 
     @classmethod
     def loads(cls, text: str) -> "Catalog":
         """Parse a catalog file; ValueError unless it is one of this schema."""
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
         try:
             version = doc["schema_version"]
-            if version != SCHEMA_VERSION:
+            if type(version) is not int or version != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {version!r}")
-            return cls.from_json_doc(doc)
+            return cls(doc["catalog"], dict(doc["params"]), tuple(
+                CatalogEntry.from_dict(d) for d in doc["entries"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed catalog: {exc!r}") from exc
 
@@ -176,10 +220,14 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
 
 def resolve(entry: CatalogEntry):
     """The flow an entry's token names: its ``MarkedMap``, or ``(map, None)``
-    for an unmarked token.  ValueError unless the token is sound and its
-    mark is legal on its map."""
-    code = CanonicalCode.from_token(entry.code)
-    return (code.to_map(), None) if code.mark is None else marked_map_from_code(code)
+    for an unmarked token.  ValueError unless the token is sound, its mark
+    is legal on its map and the entry's ``mark`` field is the token's."""
+    code, m, dart = parse_token(entry.code)
+    if entry.mark != _mark_field(code.mark):
+        raise ValueError(
+            f"entry mark {entry.mark} does not match its code {entry.code!r}")
+    return (m, None) if dart is None else MarkedMap(
+        m, MARK_CLASSES[code.mark[0]](dart))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +245,7 @@ class ReportRow(NamedTuple):
         return None if self.expected is None else self.computed == self.expected
 
     def to_dict(self) -> dict:
-        return {"section": self.section, "label": self.label,
-                "computed": self.computed, "expected": self.expected,
-                "match": self.match, "note": self.note}
+        return {**self._asdict(), "match": self.match}
 
 
 class CensusReport(NamedTuple):
@@ -219,7 +265,7 @@ class CensusReport(NamedTuple):
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_doc(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_doc())
 
     def to_text(self) -> str:
         lines = []
@@ -228,8 +274,7 @@ class CensusReport(NamedTuple):
         for r in self.rows:
             if r.section != current:
                 current = r.section
-                lines.append("")
-                lines.append(f"== {current} ==")
+                lines += ["", f"== {current} =="]
             if r.expected is None:
                 status = "computed"
                 exp = "-"
@@ -238,13 +283,11 @@ class CensusReport(NamedTuple):
                 exp = str(r.expected)
             lines.append(f"{r.label:<{width}} computed {r.computed:>4}   "
                          f"published {exp:>4}   {status}")
-        lines.append("")
-        lines.append("== duality parity check (9 singular points) ==")
+        lines += ["", "== duality parity check (9 singular points) =="]
         for k, v in self.parity.items():
             lines.append(f"{k}: {v}")
         if self.notes:
-            lines.append("")
-            lines.append("== notes ==")
+            lines += ["", "== notes =="]
             for n in self.notes:
                 lines.append(f"- {n}")
         return "\n".join(lines) + "\n"
@@ -290,22 +333,16 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
 
     src_v = sn[4].source_by_vertex_count()
     high = sum(v for k, v in src_v.items() if k >= 4)
-    rows.append(ReportRow(
-        "9 points breakdown", "source classes on maps with >= 4 vertices",
-        high, PAPER_EXPECTED_SN4["high_vertex_source"]))
-    rows.append(ReportRow(
-        "9 points breakdown", "source classes on maps with 3 vertices",
-        src_v.get(3, 0), PAPER_EXPECTED_SN4["three_vertex_source"]))
-    rows.append(ReportRow(
-        "9 points breakdown", "source classes, all maps", sn[4].total_source))
-    rows.append(ReportRow(
-        "9 points breakdown", "sink classes, all maps", sn[4].total_sink))
-    rows.append(ReportRow(
-        "9 points breakdown", "total, flow distinct from its reverse",
-        sn[4].total_source + sn[4].total_sink))
-    rows.append(ReportRow(
-        "9 points breakdown", "total, flow identified with its reverse",
-        sn[4].total_source))
+    for label, computed, expected in (
+            ("source classes on maps with >= 4 vertices", high,
+             PAPER_EXPECTED_SN4["high_vertex_source"]),
+            ("source classes on maps with 3 vertices", src_v.get(3, 0),
+             PAPER_EXPECTED_SN4["three_vertex_source"]),
+            ("source classes, all maps", sn[4].total_source, None),
+            ("sink classes, all maps", sn[4].total_sink, None),
+            ("total, flow distinct from its reverse", sn[4].total, None),
+            ("total, flow identified with its reverse", sn[4].total_source, None)):
+        rows.append(ReportRow("9 points breakdown", label, computed, expected))
 
     cat_labels = {
         CONNECTED_AFTER_CUT: "perpendicular edge keeps the rest connected",
@@ -413,7 +450,7 @@ def export_entries(entries, fmt: str) -> str:
         for e in entries:
             resolve(e)
         doc = [e._asdict() for e in entries]
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc)
     if fmt == "dot":
         return "".join(entry_to_dot(e) for e in entries)
     if fmt == "diagram-json":
@@ -424,5 +461,5 @@ def export_entries(entries, fmt: str) -> str:
                 raise UnsupportedFormatError(
                     f"diagram-json needs marked entries; {e.code} has no mark")
             doc.append({"code": e.code, "diagram": diagram_to_dict(mm)})
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(doc)
     raise UnsupportedFormatError(f"unsupported export format {fmt!r}")

@@ -124,29 +124,6 @@ def sphere_failures(sigma, alpha) -> list:
     return failures
 
 
-def renormalize(sigma: Sequence[int], alpha: Sequence[int]):
-    """Relabel darts so that alpha becomes the pair normal form.
-
-    Edges are renumbered in order of their first dart.  Returns
-    ``(sigma', alpha', relabel)`` where ``relabel[old] = new``; raises
-    ValueError unless alpha is a fixed-point-free involution.
-    """
-    n = len(sigma)
-    if not all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n)):
-        raise ValueError("invalid map: NotInvolution")
-    relabel = [-1] * n
-    nxt = 0
-    for d in range(n):
-        if relabel[d] < 0:
-            relabel[d] = nxt
-            relabel[alpha[d]] = nxt + 1
-            nxt += 2
-    new_sigma = [0] * n
-    for d in range(n):
-        new_sigma[relabel[d]] = relabel[sigma[d]]
-    return tuple(new_sigma), normal_alpha(n // 2), tuple(relabel)
-
-
 class MapMark:
     """Base class for selections attached to a map: one dart, read-only.
 
@@ -238,28 +215,7 @@ class CanonicalCode(NamedTuple):
     @classmethod
     def from_token(cls, token: str) -> "CanonicalCode":
         """Parse a catalog key; ValueError unless its map and mark are sound."""
-        try:
-            fields = dict(part.split(":", 1) for part in token.split(";"))
-            n_edges = int(fields["E"])
-            sigma = tuple(int(x) for x in fields["s"].split(","))
-            alpha = tuple(int(x) for x in fields["a"].split(","))
-            mark = None
-            if fields["m"] != "-":
-                kind, label = fields["m"].split(",")
-                mark = (kind, int(label))
-        except (AttributeError, KeyError, ValueError) as exc:
-            raise ValueError(f"malformed code token: {token!r}") from exc
-        try:
-            if len(sigma) != 2 * n_edges:
-                raise ValueError(f"{len(sigma)} darts for {n_edges} edges")
-            CombinatorialMap(sigma, alpha)
-        except ValueError as exc:
-            raise ValueError(
-                f"code token is not a valid map: {token!r} ({exc})") from exc
-        if mark is not None and (mark[0] not in _KIND_RANK
-                                 or not 0 <= mark[1] < len(sigma)):
-            raise ValueError(f"code token has an invalid mark: {token!r}")
-        return cls(n_edges, sigma, alpha, mark)
+        return parse_token(token)[0]
 
     def to_map(self) -> "CombinatorialMap":
         """Rebuild the canonical representative map (unmarked)."""
@@ -351,6 +307,37 @@ def canonical_code_for(sigma, alpha, allow_reflection: bool):
     return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
 
 
+def parse_token(token: str):
+    """``(code, map, dart)`` of a catalog key, its map built and checked once.
+
+    ``dart`` is the map's dart for the mark label, None if unmarked.
+    ValueError unless the map is valid and the mark's kind and label are.
+    """
+    try:
+        fields = dict(part.split(":", 1) for part in token.split(";"))
+        n_edges = int(fields["E"])
+        sigma = tuple(int(x) for x in fields["s"].split(","))
+        alpha = tuple(int(x) for x in fields["a"].split(","))
+        mark = None
+        if fields["m"] != "-":
+            kind, label = fields["m"].split(",")
+            mark = (kind, int(label))
+    except (AttributeError, KeyError, ValueError) as exc:
+        raise ValueError(f"malformed code token: {token!r}") from exc
+    try:
+        if len(sigma) != 2 * n_edges:
+            raise ValueError(f"{len(sigma)} darts for {n_edges} edges")
+        m = CombinatorialMap(sigma, alpha)
+    except ValueError as exc:
+        raise ValueError(
+            f"code token is not a valid map: {token!r} ({exc})") from exc
+    if mark is not None and (mark[0] not in _KIND_RANK
+                             or not 0 <= mark[1] < len(sigma)):
+        raise ValueError(f"code token has an invalid mark: {token!r}")
+    dart = None if mark is None else m.relabel[mark[1]]
+    return CanonicalCode(n_edges, sigma, alpha, mark), m, dart
+
+
 # ---------------------------------------------------------------------------
 # the map class
 
@@ -385,7 +372,20 @@ class CombinatorialMap:
             raise ValueError("sigma and alpha must permute the same dart set")
         if not _is_permutation(sigma) or not _is_permutation(alpha):
             raise ValueError("sigma and alpha must be permutations of 0..2E-1")
-        self._sigma, self._alpha, _ = renormalize(sigma, alpha)
+        if not all(alpha[d] != d and alpha[alpha[d]] == d for d in range(n)):
+            raise ValueError("invalid map: NotInvolution")
+        # renumber the edges in order of their first dart
+        relabel = [-1] * n
+        e = 0
+        for d in range(n):
+            if d < alpha[d]:
+                relabel[d], relabel[alpha[d]] = e, e + 1
+                e += 2
+        new_sigma = [0] * n
+        for d in range(n):
+            new_sigma[relabel[d]] = relabel[sigma[d]]
+        self._sigma, self._alpha = tuple(new_sigma), normal_alpha(n // 2)
+        self._relabel = tuple(relabel)
         self.validate()
         # per reflection mode: the unmarked code and the winning starts, from
         # which the code of every mark on this map follows
@@ -400,6 +400,9 @@ class CombinatorialMap:
     @property
     def alpha(self) -> tuple:
         return self._alpha
+
+    relabel = property(lambda self: self._relabel,
+                       doc="relabel[d] is the dart that given dart d became.")
 
     @property
     def n_darts(self) -> int:

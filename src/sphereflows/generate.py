@@ -31,6 +31,7 @@ output is byte-identical across strategies and run order.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import attrgetter
 
 from .combmap import (CombinatorialMap, canonical_code_for, normal_alpha,
                       sphere_failures)
@@ -273,5 +274,6 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "grow"):
                 GenerationConfig(cfg.n_edges - 1, cfg.allow_reflection, cfg.jobs),
                 strategy="grow")
             codes = _grow(parents, cfg.allow_reflection)
-        _cache[key] = tuple(code.to_map() for code in sorted(codes))
+        _cache[key] = tuple(code.to_map() for code in
+                            sorted(codes, key=attrgetter("sort_key")))
     return list(_cache[key])

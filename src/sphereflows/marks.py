@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
-from .combmap import CombinatorialMap, InvalidMarkError, MapMark, renormalize
+from .combmap import CombinatorialMap, InvalidMarkError, MapMark
 from .generate import MAX_EDGES, GenerationConfig, generate_maps
 
 T_MIN_SADDLES = 2
@@ -96,6 +97,7 @@ class TMark(MapMark):
 
 
 Mark = SourceMark | SinkMark | TMark
+MARK_CLASSES = {"source": SourceMark, "sink": SinkMark, "t": TMark}
 
 
 class MarkedMap(namedtuple("MarkedMap", "map mark")):
@@ -128,11 +130,11 @@ def marked_map_from_code(code) -> MarkedMap:
     if code.mark is None:
         raise ValueError("code carries no mark")
     kind, label = code.mark
-    cls = {"source": SourceMark, "sink": SinkMark, "t": TMark}.get(kind)
+    cls = MARK_CLASSES.get(kind)
     if cls is None:
         raise ValueError(f"unknown mark kind {kind!r}")
-    sigma, alpha, relabel = renormalize(code.sigma_images, code.alpha_images)
-    return MarkedMap(CombinatorialMap(sigma, alpha), cls(relabel[label]))
+    m = code.to_map()
+    return MarkedMap(m, cls(m.relabel[label]))
 
 
 def _mark_classes(m: CombinatorialMap, mark_cls, darts, allow_reflection):
@@ -145,7 +147,8 @@ def _mark_classes(m: CombinatorialMap, mark_cls, darts, allow_reflection):
     first = {}
     for d in darts:
         first.setdefault(m.canonical_code(mark_cls(d), allow_reflection), d)
-    return [MarkedMap(m, mark_cls(first[code])) for code in sorted(first)]
+    return [MarkedMap(m, mark_cls(first[code]))
+            for code in sorted(first, key=attrgetter("sort_key"))]
 
 
 def enumerate_source_marks(m: CombinatorialMap, *, allow_reflection: bool = True):

@@ -197,15 +197,7 @@ def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
     return SeparatrixDiagram(tuple(points), tuple(arcs))
 
 
-def _flip_origin(origin):
-    cell, rep = origin
-    if cell == "vertex":
-        return ("face", rep)
-    if cell == "face":
-        return ("vertex", rep)
-    return origin
-
-
+_FLIP_CELL = {"vertex": "face", "face": "vertex", "edge": "edge", "mark": "mark"}
 _FLIP_KIND = {"source": "sink", "sink": "source", "saddle": "saddle",
               "saddle-node-source": "saddle-node-sink",
               "saddle-node-sink": "saddle-node-source"}
@@ -215,7 +207,8 @@ def _realize_sink(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
     # reversal of the source-type flow on the dual map; dart ids and orbit
     # representatives carry over because dual() keeps the dart labels
     dia = _realize_source(m.dual(), d0)
-    points = tuple(SingularPoint(p.id, _FLIP_KIND[p.kind], _flip_origin(p.origin))
+    points = tuple(SingularPoint(p.id, _FLIP_KIND[p.kind],
+                                 (_FLIP_CELL[p.origin[0]], p.origin[1]))
                    for p in dia.points)
     arcs = tuple(Separatrix(a.target, a.source, a.anchor)
                  for a in dia.separatrices)

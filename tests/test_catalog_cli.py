@@ -279,16 +279,33 @@ def test_traced_replay_records_every_layer(command, tmp_path):
     # next; a deleted or bypassed name shows here instead of in its runs
     env = dict(os.environ,
                PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
-    spans = tmp_path / "spans.json"
-    res = subprocess.run(
-        [sys.executable, str(REPLAY), str(spans), "bifurcations", *command],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
-    assert res.returncode == 0, res.stderr
-    doc = json.loads(spans.read_text().splitlines()[0])
-    assert doc["rc"] == 0
-    names = {span[0] for span in doc["spans"]}
+
+    def replay(*args):
+        spans = tmp_path / "spans.json"
+        res = subprocess.run([sys.executable, str(REPLAY), str(spans), *args],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(spans.read_text().splitlines()[0])
+        assert doc["rc"] == 0
+        return doc["spans"]
+
+    names = {span[0] for span in replay("bifurcations", *command)}
     assert {"marks.enumerate", "realize.realize", "realize.check",
             "catalog.build"} <= names
+    # an export builds and checks each entry's map once; the diagram of a
+    # sink mark is read off the dual map, which is checked as well
+    path = tmp_path / f"bifurcations-{command[0]}-n{command[1]}.json"
+    entries = Catalog.loads(path.read_text()).entries
+    sinks = sum(e.mark["kind"] == "sink" for e in entries)
+    for fmt, checks in (("json", len(entries)),
+                        ("diagram-json", len(entries) + sinks)):
+        spans = replay("export", str(path), "--format", fmt)
+        names = {span[0] for span in spans}
+        assert "catalog.export" in names
+        assert ("realize.realize" in names) == (fmt == "diagram-json")
+        assert sum(span[4]["calls"] for span in spans
+                   if span[0] == "combmap.validate") == checks, fmt
 
 
 def damage_catalog(doc, damage):
@@ -341,7 +358,7 @@ def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
         assert list(tmp_path.iterdir()) == [catalog_path]
 
 
-@pytest.mark.parametrize("version", [999, 0, None])
+@pytest.mark.parametrize("version", [999, 0, None, True, 1.0])
 def test_loads_rejects_other_schema_versions(maps3, version):
     doc = maps3.to_json_doc()
     if version is None:
@@ -351,6 +368,42 @@ def test_loads_rejects_other_schema_versions(maps3, version):
     with pytest.raises(ValueError):
         Catalog.loads(json.dumps(doc))
     assert Catalog.loads(maps3.dumps()) == maps3
+
+
+def inconsistent_catalog(doc, damage):
+    """A marked catalog's text with one defect that json.loads accepts."""
+    entry = doc["entries"][0]
+    if damage.startswith("schema-"):
+        doc["schema_version"] = {"schema-true": True, "schema-float": 1.0}[damage]
+    elif damage in ("nan", "infinity"):
+        entry["n_vertices"] = float(damage)
+    elif damage == "mark-on-unmarked-token":
+        entry["code"] = entry["code"].rsplit("m:", 1)[0] + "m:-"
+        entry["mark"] = {"kind": "t", "dart": 0}
+    elif damage == "no-mark-on-marked-token":
+        entry["mark"] = None
+    elif damage == "mark-on-other-dart":
+        entry["mark"]["dart"] += 1
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [
+    "schema-true", "schema-float", "nan", "infinity", "mark-on-unmarked-token",
+    "no-mark-on-marked-token", "mark-on-other-dart",
+])
+def test_export_of_inconsistent_catalog_exits_2(damage, tmp_path, bifs2):
+    catalog_path = tmp_path / "damaged.json"
+    catalog_path.write_text(inconsistent_catalog(bifs2.to_json_doc(), damage))
+    for fmt in ("json", "dot"):
+        res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
+        assert res.returncode == 2, fmt
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [catalog_path]
+
+
+def stdlib_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 WORKLOADS = REPLAY.with_name("workloads.py")
@@ -375,14 +428,21 @@ def test_outputs_match_benchmark_digests(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     reference = workloads.REFERENCE
+    # the bytes themselves are those the stdlib encoder writes
     texts = {}
     for key, expected in reference["catalogs"].items():
-        texts[key] = _catalog_for(key).dumps()
+        catalog = _catalog_for(key)
+        texts[key] = catalog.dumps()
+        assert texts[key] == stdlib_text(catalog.to_json_doc()), key
         assert workloads.digest(json.loads(texts[key])["entries"]) == expected, key
-    doc = json.loads(build_census_report().dumps())
+    report = build_census_report()
+    assert report.dumps() == stdlib_text(report.to_json_doc())
+    doc = json.loads(report.dumps())
     assert workloads.digest({"rows": doc["rows"], "parity": doc["parity"]}) \
         == reference["reports"]["paper-census"]
     for key, expected in reference["exports"].items():
         name, fmt = key.split(":")
         text = export_entries(list(Catalog.loads(texts[name]).entries), fmt)
         assert workloads.export_digest(fmt, text) == expected, key
+        if fmt != "dot":
+            assert text == stdlib_text(json.loads(text)), key

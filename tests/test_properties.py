@@ -1,5 +1,6 @@
 """Structural invariants over every enumerated object, plus randomized laws."""
 
+import json
 from functools import cache
 
 import pytest
@@ -10,7 +11,7 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
-from sphereflows.catalog import CatalogEntry, export_entries
+from sphereflows.catalog import CatalogEntry, export_entries, json_text
 from sphereflows.combmap import normal_alpha, sphere_failures
 
 from oracles import relabel
@@ -214,8 +215,11 @@ def test_mutated_tokens_rebuild_or_raise_value_error(token):
 @settings(max_examples=300, deadline=None)
 def test_json_and_dot_exports_agree_on_mutated_tokens(token):
     # both formats resolve the token and its mark, so they accept the same
-    # entries
-    entry = CatalogEntry(token, 1, 2, 1, (1, 1))
+    # entries; the entry's mark field is the one its token spells
+    kind, _, label = token.rpartition("m:")[2].partition(",")
+    mark = ({"kind": kind, "dart": int(label)}
+            if label.removeprefix("-").isdigit() else None)
+    entry = CatalogEntry(token, 1, 2, 1, (1, 1), mark)
     exported = []
     for fmt in ("json", "dot"):
         try:
@@ -224,3 +228,30 @@ def test_json_and_dot_exports_agree_on_mutated_tokens(token):
         except ValueError:
             exported.append(False)
     assert exported[0] == exported[1], token
+
+
+# the values json.loads yields: str-keyed objects, arrays, strings (lone
+# surrogates and code points past the BMP included), integers of any size,
+# floats with NaN and Infinity, booleans and null
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2**64) | st.integers(max_value=-2**64)
+    | st.floats() | st.text() | st.text(st.characters(min_codepoint=0x10000))
+    | st.text(st.characters(categories=["Cs"])),
+    lambda values: st.lists(values) | st.dictionaries(st.text(), values),
+    max_leaves=20)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_the_stdlib_indented_encoding(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_spells_what_the_stdlib_spells():
+    value = {"\u00e9\U0001f600": ["\x00\n\"", 2**70, -0.0, 1e300, float("nan"),
+                                  float("inf"), -float("inf")],
+             "empty": [[], {}, ()], "b": (True, False, None)}
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    with pytest.raises(TypeError):
+        json_text({"set": {1}})
