@@ -102,19 +102,9 @@ def load_paper_labels() -> dict:
 class CatalogEntry(namedtuple(
         "CatalogEntry", "code n_edges n_vertices n_faces degree_sequence "
                         "mark singular_points paper_label")):
-    """One catalog line; ``singular_points`` defaults to a fresh dict."""
+    """One catalog line."""
 
     __slots__ = ()
-
-    def __new__(cls, code: str, n_edges: int, n_vertices: int, n_faces: int,
-                degree_sequence: tuple, mark: Optional[dict] = None,
-                singular_points: Optional[dict] = None,
-                paper_label: Optional[str] = None):
-        if singular_points is None:
-            singular_points = {}
-        return super().__new__(cls, code, n_edges, n_vertices, n_faces,
-                               degree_sequence, mark, singular_points,
-                               paper_label)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogEntry":
@@ -221,11 +211,21 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
 def resolve(entry: CatalogEntry):
     """The flow an entry's token names: its ``MarkedMap``, or ``(map, None)``
     for an unmarked token.  ValueError unless the token is sound, its mark
-    is legal on its map and the entry's ``mark`` field is the token's."""
+    is legal on its map and the entry's ``mark`` field and cell counts are
+    its map's."""
     code, m, dart = parse_token(entry.code)
     if entry.mark != _mark_field(code.mark):
         raise ValueError(
             f"entry mark {entry.mark} does not match its code {entry.code!r}")
+    counts = (entry.n_edges, entry.n_vertices, entry.n_faces,
+              entry.degree_sequence)
+    # the map is spherical, so Euler's formula gives its faces; each count
+    # must also be spelled as an integer, not as 1.0 or true
+    if counts != (m.n_edges, m.n_vertices, 2 + m.n_edges - m.n_vertices,
+                  m.degree_sequence()) or not all(
+            type(v) is int for v in (*counts[:3], *counts[3])):
+        raise ValueError(
+            f"entry counts {counts} do not match its code {entry.code!r}")
     return (m, None) if dart is None else MarkedMap(
         m, MARK_CLASSES[code.mark[0]](dart))
 

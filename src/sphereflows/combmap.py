@@ -311,17 +311,22 @@ def parse_token(token: str):
     """``(code, map, dart)`` of a catalog key, its map built and checked once.
 
     ``dart`` is the map's dart for the mark label, None if unmarked.
-    ValueError unless the map is valid and the mark's kind and label are.
+    ValueError unless the key is spelled exactly as its code's ``token()``
+    writes it, the map is valid and the mark's kind and label are.
     """
     try:
         fields = dict(part.split(":", 1) for part in token.split(";"))
         n_edges = int(fields["E"])
-        sigma = tuple(int(x) for x in fields["s"].split(","))
-        alpha = tuple(int(x) for x in fields["a"].split(","))
+        sigma = tuple(map(int, fields["s"].split(",")))
+        alpha = tuple(map(int, fields["a"].split(",")))
         mark = None
         if fields["m"] != "-":
             kind, label = fields["m"].split(",")
             mark = (kind, int(label))
+        code = CanonicalCode(n_edges, sigma, alpha, mark)
+        # one spelling per code: no extra, repeated, reordered or padded field
+        if code.token() != token:
+            raise ValueError("not spelled as its code writes it")
     except (AttributeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed code token: {token!r}") from exc
     try:
@@ -335,7 +340,7 @@ def parse_token(token: str):
                              or not 0 <= mark[1] < len(sigma)):
         raise ValueError(f"code token has an invalid mark: {token!r}")
     dart = None if mark is None else m.relabel[mark[1]]
-    return CanonicalCode(n_edges, sigma, alpha, mark), m, dart
+    return code, m, dart
 
 
 # ---------------------------------------------------------------------------

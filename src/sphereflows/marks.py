@@ -316,28 +316,12 @@ def t_connection_category(mm: MarkedMap) -> str:
 
 
 class SaddleConnectionCensus(NamedTuple):
-    """Class counts of saddle-connection flows with a given saddle count.
-
-    ``by_category`` takes no part in ``==`` or ``hash``.
-    """
+    """Class counts of saddle-connection flows with a given saddle count."""
 
     n_saddles: int
     singular_points: int
     total: int
     by_category: dict
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self[:3] == other[:3]
-        return NotImplemented
-
-    def __ne__(self, other):
-        if other.__class__ is self.__class__:
-            return self[:3] != other[:3]
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self[:3])
 
 
 def saddle_connection_census(n_saddles: int, *,

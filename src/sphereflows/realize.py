@@ -12,8 +12,9 @@ Marks degenerate this picture:
   separatrices (one in from the far endpoint, two out into the adjacent
   faces); separatrices of other saddles that started at the merged vertex
   now emanate from the saddle-node's parabolic sector;
-* a sink mark is the exact flow reversal of a source mark on the dual map
-  and is realized that way;
+* a sink mark is the exact flow reversal of a source mark on the dual map;
+  it is realized on its own map, faces in the role of vertices, with points
+  and arcs in the order the dual construction gives;
 * a T mark replaces nothing: the T-vertex itself is the lower saddle whose
   stable manifold is the collinear edge pair, the perpendicular edge
   carries the upper saddle in its interior, and the connection runs from
@@ -150,69 +151,67 @@ class SeparatrixDiagram(NamedTuple):
         return issues
 
 
-def _morse_skeleton(m: CombinatorialMap, v: int, skipped: set,
-                    pair: tuple = (), merged: Optional[tuple] = None):
-    """The Morse flow of ``m`` away from vertex ``v`` and the edges ``skipped``.
+_CELL_POINT = {"vertex": "source", "face": "sink"}
 
-    Points, in id order: a source per vertex other than ``v``, a sink per
-    face, the ``(kind, origin)`` points of ``pair``, a saddle per edge whose
-    even dart is not in ``skipped``, and last ``merged``, which stands in
-    for ``v``.  Each saddle gets its two stable and two unstable arcs.
-    Returns the points, the arcs and the point ids by vertex and face index.
+
+def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
+                    pair: tuple = (), merged: Optional[tuple] = None):
+    """The Morse flow of ``m`` away from a cell and the edges ``skipped``.
+
+    ``cell`` is ``"vertex"`` or ``"face"``, the kind of cell ``c`` that
+    ``merged`` stands in for.  Points, in id order: a point per cell of that
+    kind other than ``c``, a point per cell of the other kind (a source per
+    vertex, a sink per face), the ``(kind, origin)`` points of ``pair``, a
+    saddle per edge whose even dart is not in ``skipped``, and last
+    ``merged``.  Each saddle gets its two stable and two unstable arcs.
+    Returns the points, the arcs and the point ids by cell kind and index.
     """
-    points, vertex_point, face_point = [], {}, {}
+    points, point = [], {"vertex": {}, "face": {}}
 
     def add(kind, origin):
         points.append(SingularPoint(len(points), kind, origin))
         return len(points) - 1
 
-    for i, orbit in enumerate(m.vertex_orbits):
-        if i != v:
-            vertex_point[i] = add("source", ("vertex", min(orbit)))
-    for i, orbit in enumerate(m.face_orbits):
-        face_point[i] = add("sink", ("face", min(orbit)))
+    orbits = {"vertex": m.vertex_orbits, "face": m.face_orbits}
+    for kind in (cell, "face" if cell == "vertex" else "vertex"):
+        for i, orbit in enumerate(orbits[kind]):
+            if kind != cell or i != c:
+                point[kind][i] = add(_CELL_POINT[kind], (kind, min(orbit)))
     for kind, origin in pair:
         add(kind, origin)
     saddle_point = {rep: add("saddle", ("edge", rep))
                     for rep in range(0, m.n_darts, 2) if rep not in skipped}
     if merged is not None:
-        vertex_point[v] = add(*merged)
+        point[cell][c] = add(*merged)
     arcs = []
     for rep, s in saddle_point.items():
         for d in (rep, rep + 1):
-            arcs.append(Separatrix(vertex_point[m.vertex_of(d)], s, d))
-            arcs.append(Separatrix(s, face_point[m.face_of(d)], d))
-    return points, arcs, vertex_point, face_point
+            arcs += _dart_arcs(m, point, cell, s, d)
+    return points, arcs, point
 
 
-def _realize_source(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
-    v0 = m.vertex_of(d0)
+def _dart_arcs(m: CombinatorialMap, point: dict, cell: str, s: int, d: int):
+    """The arcs of ``s`` in from the vertex of ``d`` and out into its face,
+    the one joining a cell of kind ``cell`` first."""
+    into = Separatrix(point["vertex"][m.vertex_of(d)], s, d)
+    out = Separatrix(s, point["face"][m.face_of(d)], d)
+    return (into, out) if cell == "vertex" else (out, into)
+
+
+def _realize_saddle_node(m: CombinatorialMap, d0: int,
+                         cell: str) -> SeparatrixDiagram:
+    # the saddle of d0's edge merges into d0's vertex (source mark) or face
+    # (sink mark); its hyperbolic separatrices join the cell of that kind at
+    # far, across the edge, and the cells of the other kind at d0 and at far
     far = m.alpha[d0]
-    points, arcs, vertex_point, face_point = _morse_skeleton(
-        m, v0, {min(d0, far)}, merged=("saddle-node-source", ("mark", d0)))
-    sn = vertex_point[v0]
-    arcs.append(Separatrix(vertex_point[m.vertex_of(far)], sn, far))
-    arcs.append(Separatrix(sn, face_point[m.face_of(d0)], d0))
-    arcs.append(Separatrix(sn, face_point[m.face_of(far)], far))
+    c = m.vertex_of(d0) if cell == "vertex" else m.face_of(d0)
+    points, arcs, point = _morse_skeleton(
+        m, cell, c, {min(d0, far)},
+        merged=("saddle-node-" + _CELL_POINT[cell], ("mark", d0)))
+    (across, far_side), (_, near_side) = (
+        _dart_arcs(m, point, cell, point[cell][c], d) for d in (far, d0))
+    arcs += (across, near_side, far_side)
     return SeparatrixDiagram(tuple(points), tuple(arcs))
-
-
-_FLIP_CELL = {"vertex": "face", "face": "vertex", "edge": "edge", "mark": "mark"}
-_FLIP_KIND = {"source": "sink", "sink": "source", "saddle": "saddle",
-              "saddle-node-source": "saddle-node-sink",
-              "saddle-node-sink": "saddle-node-source"}
-
-
-def _realize_sink(m: CombinatorialMap, d0: int) -> SeparatrixDiagram:
-    # reversal of the source-type flow on the dual map; dart ids and orbit
-    # representatives carry over because dual() keeps the dart labels
-    dia = _realize_source(m.dual(), d0)
-    points = tuple(SingularPoint(p.id, _FLIP_KIND[p.kind],
-                                 (_FLIP_CELL[p.origin[0]], p.origin[1]))
-                   for p in dia.points)
-    arcs = tuple(Separatrix(a.target, a.source, a.anchor)
-                 for a in dia.separatrices)
-    return SeparatrixDiagram(points, arcs)
 
 
 def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
@@ -222,7 +221,8 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
     pair = (("saddle", ("vertex", min(m.vertex_orbits[t]))),
             ("saddle", ("edge", min(p, m.alpha[p]))))
     skipped = {min(p, m.alpha[p]), min(a, m.alpha[a]), min(b, m.alpha[b])}
-    points, arcs, vertex_point, face_point = _morse_skeleton(m, t, skipped, pair)
+    points, arcs, point = _morse_skeleton(m, "vertex", t, skipped, pair)
+    vertex_point, face_point = point["vertex"], point["face"]
     # the pair follows the sources and the sinks
     lower = len(vertex_point) + len(face_point)
     upper = lower + 1
@@ -248,10 +248,9 @@ def realize(mm: MarkedMap) -> SeparatrixDiagram:
     if not isinstance(mm, MarkedMap):
         raise InvalidMarkError("realize expects a MarkedMap")
     kind = mm.mark.kind
-    if kind == "source":
-        return _realize_source(mm.map, mm.mark.dart)
-    if kind == "sink":
-        return _realize_sink(mm.map, mm.mark.dart)
+    if kind in ("source", "sink"):
+        return _realize_saddle_node(mm.map, mm.mark.dart,
+                                    "vertex" if kind == "source" else "face")
     if kind == "t":
         return _realize_t(mm.map, mm.mark.dart)
     raise InvalidMarkError(f"unknown mark kind {kind!r}")

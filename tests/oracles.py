@@ -16,6 +16,9 @@ the brute strategy enumerates before its sphere filter.
 ``far_side_edges`` sizes the component a T-vertex's perpendicular edge cuts
 off by union-find, the reference for ``t_connection_category``.
 
+``sink_diagram_by_duality`` realizes a sink mark as the reversed source
+diagram of the dual map, the reference for realizing it on its own map.
+
 ``perm_from_cycles``, ``relabel`` and ``mirror`` build test inputs: maps
 from cycle notation, dart renamings and orientation reversals.
 """
@@ -24,7 +27,8 @@ import math
 from itertools import permutations
 
 from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
-                         SourceMark, generate_maps)
+                         Separatrix, SeparatrixDiagram, SingularPoint,
+                         SourceMark, generate_maps, realize, reverse)
 
 
 def _inv(p):
@@ -236,3 +240,22 @@ def far_side_edges(mm):
     if far == root(m.vertex_of(p)):
         return 0
     return sum(1 for d, _ in edges if root(m.vertex_of(d)) == far)
+
+
+_REVERSED_KIND = {"source": "sink", "sink": "source", "saddle": "saddle",
+                  "saddle-node-source": "saddle-node-sink"}
+_DUAL_CELL = {"vertex": "face", "face": "vertex", "edge": "edge",
+              "mark": "mark"}
+
+
+def sink_diagram_by_duality(mm):
+    """The diagram of a sink-marked map read off its reversal: the source
+    mark on the dual map (dart ids carry over), realized, with sources and
+    sinks, vertices and faces swapped and every arc reversed."""
+    dia = realize(reverse(mm))
+    points = tuple(SingularPoint(p.id, _REVERSED_KIND[p.kind],
+                                 (_DUAL_CELL[p.origin[0]], p.origin[1]))
+                   for p in dia.points)
+    arcs = tuple(Separatrix(a.target, a.source, a.anchor)
+                 for a in dia.separatrices)
+    return SeparatrixDiagram(points, arcs)

@@ -243,6 +243,11 @@ class TestCanonicalCode:
         "E:1;s:1,0;a:1,0;m:sink,-1",
         "E:1;s:5,0;a:1,0;m:-",            # s is not a permutation
         "E:1;s:1,0;a:1,1;m:-",            # a is not a permutation
+        # spellings other than the one the code writes
+        "E:2;s:0,2,1,3;a:1,0,3,2;m:source,0;x:9",
+        "m:source,0;E:2;s:0,2,1,3;a:1,0,3,2",
+        "E:02;s: 0,2,1,3;a:1,0,3,2;m:source,+0",
+        "E:2;E:2;s:0,2,1,3;a:1,0,3,2;m:source,0",
     ])
     def test_strict_token_rejects(self, token):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
 from sphereflows.catalog import CatalogEntry, export_entries, json_text
-from sphereflows.combmap import normal_alpha, sphere_failures
+from sphereflows.combmap import normal_alpha, parse_token, sphere_failures
 
 from oracles import relabel
 
@@ -215,11 +215,16 @@ def test_mutated_tokens_rebuild_or_raise_value_error(token):
 @settings(max_examples=300, deadline=None)
 def test_json_and_dot_exports_agree_on_mutated_tokens(token):
     # both formats resolve the token and its mark, so they accept the same
-    # entries; the entry's mark field is the one its token spells
+    # entries; the entry's mark field and counts are those its token spells
     kind, _, label = token.rpartition("m:")[2].partition(",")
     mark = ({"kind": kind, "dart": int(label)}
             if label.removeprefix("-").isdigit() else None)
-    entry = CatalogEntry(token, 1, 2, 1, (1, 1), mark)
+    try:
+        m = parse_token(token)[1]
+        counts = (m.n_edges, m.n_vertices, m.n_faces, m.degree_sequence())
+    except ValueError:
+        counts = (1, 2, 1, (1, 1))
+    entry = CatalogEntry(token, *counts, mark, {}, None)
     exported = []
     for fmt in ("json", "dot"):
         try:

@@ -3,14 +3,15 @@ from itertools import permutations
 
 import pytest
 
-from sphereflows import (GenerationConfig, InvalidMarkError, MarkedMap,
-                         Separatrix, SeparatrixDiagram, SingularPoint,
-                         SinkMark, SourceMark, TMark, enumerate_sink_marks,
+from sphereflows import (CombinatorialMap, GenerationConfig,
+                         InvalidMarkError, MarkedMap, Separatrix,
+                         SeparatrixDiagram, SingularPoint, SinkMark,
+                         SourceMark, TMark, enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
-                         generate_maps, realize)
+                         flow_classes, generate_maps, realize)
 from sphereflows.catalog import build_bifurcation_catalog
 
-from oracles import relabel
+from oracles import relabel, sink_diagram_by_duality
 
 SN_KINDS = ("saddle-node-source", "saddle-node-sink")
 
@@ -136,6 +137,37 @@ class TestDiagramInvariants:
     def test_realize_needs_marked_map(self, named):
         with pytest.raises(InvalidMarkError):
             realize(named["segment"])
+
+
+class TestSinkMarksOnTheirOwnMap:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("allow_reflection", [True, False])
+    def test_sink_diagram_is_the_reversed_dual_source_diagram(
+            self, n, allow_reflection):
+        # same points and arcs in the same order, so exports keep their bytes
+        sinks = [mm for mm in flow_classes("saddle-node", n, allow_reflection)
+                 if mm.mark.kind == "sink"]
+        assert sinks
+        for mm in sinks:
+            assert realize(mm) == sink_diagram_by_duality(mm)
+
+    def test_realizing_saddle_nodes_builds_no_map(self, monkeypatch):
+        classes = [mm for n in (1, 2, 3, 4) for reflect in (True, False)
+                   for mm in flow_classes("saddle-node", n, reflect)]
+        built = []
+        init = CombinatorialMap.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CombinatorialMap, "__init__", counting_init)
+        for mm in classes:
+            realize(mm)
+        assert built == []
+        # the count sees a map built the way the dual construction built it
+        classes[-1].map.dual()
+        assert len(built) == 1
 
 
 def pairing_relabeling(rng, n_edges):
