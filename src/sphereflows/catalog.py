@@ -3,7 +3,10 @@
 Catalog files are single JSON documents with a schema version and entries
 sorted by canonical code token, so they are stable, diffable artifacts.
 :func:`json_text` writes them, the report and every JSON export byte for
-byte as ``json.dumps(doc, indent=2, sort_keys=True)`` does, plus a newline.
+byte as ``json.dumps(doc, indent=2, sort_keys=True)`` does, plus a newline;
+a dict object held more than once is spelled once and its text repeated.
+An export builds and checks each distinct map once, whatever the number of
+its tokens, and equal diagram points and arcs share one dict.
 The census report compares every computed class count with the value stated
 in the published classification and never asserts: disagreements are
 reported with per-category deltas and explanatory notes.
@@ -22,7 +25,7 @@ from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                     FAR_SIDE_TWO_EDGES, MARK_CLASSES, MarkedMap,
                     enumerate_source_marks, flow_classes,
                     saddle_connection_census, saddle_node_census)
-from .realize import realize
+from .realize import Separatrix, SingularPoint, realize
 
 SCHEMA_VERSION = 1
 
@@ -60,18 +63,32 @@ _string = json.encoder.encode_basestring_ascii
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte, for
     str-keyed dicts, lists, tuples, str, int, float, bool and None; the stdlib
-    writes indented JSON in pure Python, this walks ``obj`` once."""
+    writes indented JSON in pure Python, this walks ``obj`` once.  A dict
+    object met again at the same indentation is written once: its repeats
+    copy the text of its first occurrence, so the bytes stay the stdlib's."""
     out = []
-    _write(obj, "\n", out.append)
+    _write(obj, "\n", out, {})
     return "".join(out) + "\n"
 
 
-def _write(o, nl: str, put) -> None:
-    """Give ``put`` the fragments of ``o`` indented after line break ``nl``."""
+def _write(o, nl: str, out: list, spans: dict) -> None:
+    """Append the fragments of ``o`` indented after line break ``nl`` to
+    ``out``; ``spans`` maps ``(id, nl)`` of each non-empty dict written so
+    far to its fragments' span in ``out``, or to their text once repeated.
+    Every object lives for the whole call, so an id names one object."""
     t = type(o)
     if t is dict or t is list or t is tuple:
+        put = out.append
         if not o:
             return put("{}" if t is dict else "[]")
+        if t is dict:
+            key = (id(o), nl)
+            span = spans.get(key)
+            if span is not None:
+                if type(span) is tuple:
+                    span = spans[key] = "".join(out[span[0]:span[1]])
+                return put(span)
+            start = len(out)
         inner = nl + "  "
         sep = ("{" if t is dict else "[") + inner
         for k in (sorted(o) if t is dict else o):
@@ -83,11 +100,13 @@ def _write(o, nl: str, put) -> None:
                 put(head + int.__repr__(v))
             else:
                 put(head)
-                _write(v, inner, put)
+                _write(v, inner, out, spans)
             sep = "," + inner
         put(nl + ("}" if t is dict else "]"))
+        if t is dict:
+            spans[key] = (start, len(out))
     elif t in (str, int, float, bool) or o is None:
-        put(_scalar(o))
+        out.append(_scalar(o))
     else:
         raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -208,13 +227,16 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
     )
 
 
-def resolve(entry: CatalogEntry):
+def resolve(entry: CatalogEntry, maps: dict):
     """The flow an entry's token names: its ``MarkedMap``, or ``(map, None)``
     for an unmarked token.  ValueError unless the token is sound, its mark
     is legal on its map and the entry's ``mark`` field and cell counts are
-    its map's."""
-    code, m, dart = parse_token(entry.code)
-    if entry.mark != _mark_field(code.mark):
+    its map's.  ``maps`` caches built maps for ``parse_token``."""
+    code, m, dart = parse_token(entry.code, maps)
+    mark = entry.mark
+    # the mark is also spelled as a str kind and an int dart, not 0.0 or false
+    if mark != _mark_field(code.mark) or mark is not None and (
+            type(mark["kind"]), type(mark["dart"])) != (str, int):
         raise ValueError(
             f"entry mark {entry.mark} does not match its code {entry.code!r}")
     counts = (entry.n_edges, entry.n_vertices, entry.n_faces,
@@ -396,13 +418,13 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
 # ---------------------------------------------------------------------------
 # exports
 
-def entry_to_dot(entry: CatalogEntry) -> str:
+def entry_to_dot(entry: CatalogEntry, maps: dict) -> str:
     """Undirected DOT graph; mark data in the attribute key ``mark``.
 
     No geometric embedding is implied: nodes are vertex orbits, one edge
-    line per map edge.
+    line per map edge.  ``maps`` caches built maps for ``resolve``.
     """
-    m, mark = resolve(entry)
+    m, mark = resolve(entry, maps)
     mark_kind, mark_dart = (None, None) if mark is None else (mark.kind, mark.dart)
     lines = [f'graph "{entry.code}" {{']
     for i, orbit in enumerate(m.vertex_orbits):
@@ -427,13 +449,20 @@ def entry_to_dot(entry: CatalogEntry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def diagram_to_dict(mm: MarkedMap) -> dict:
+def diagram_to_dict(mm: MarkedMap, records: dict) -> dict:
+    """``mm``'s separatrix diagram as diagram-json spells it.  ``records``
+    maps each record type to its records' dicts, so equal points and equal
+    arcs share one dict, which the writer spells once."""
     dia = realize(mm)
+    points = records.setdefault(SingularPoint, {})
+    arcs = records.setdefault(Separatrix, {})
     return {
-        "points": [{"id": p.id, "kind": p.kind,
-                    "origin": {"cell": p.origin[0], "dart": p.origin[1]}}
+        "points": [points.get(p) or points.setdefault(p, {
+            "id": p.id, "kind": p.kind,
+            "origin": {"cell": p.origin[0], "dart": p.origin[1]}})
                    for p in dia.points],
-        "separatrices": [{"from": a.source, "to": a.target, "anchor": a.anchor}
+        "separatrices": [arcs.get(a) or arcs.setdefault(a, {
+            "from": a.source, "to": a.target, "anchor": a.anchor})
                          for a in dia.separatrices],
         "saddle_connection": list(dia.saddle_connection)
         if dia.saddle_connection else None,
@@ -444,22 +473,24 @@ def export_entries(entries, fmt: str) -> str:
     """Serialize catalog entries as json, dot or diagram-json text.
 
     Every format resolves each entry's code token, so an invalid token or a
-    mark that is illegal on its map raises ValueError.
+    mark that is illegal on its map raises ValueError.  Tokens of one map
+    share its build and check, and the caches live for this call only.
     """
+    maps = {}
     if fmt == "json":
         for e in entries:
-            resolve(e)
+            resolve(e, maps)
         doc = [e._asdict() for e in entries]
         return json_text(doc)
     if fmt == "dot":
-        return "".join(entry_to_dot(e) for e in entries)
+        return "".join(entry_to_dot(e, maps) for e in entries)
     if fmt == "diagram-json":
-        doc = []
+        doc, records = [], {}
         for e in entries:
-            mm = resolve(e)
+            mm = resolve(e, maps)
             if mm[1] is None:
                 raise UnsupportedFormatError(
                     f"diagram-json needs marked entries; {e.code} has no mark")
-            doc.append({"code": e.code, "diagram": diagram_to_dict(mm)})
+            doc.append({"code": e.code, "diagram": diagram_to_dict(mm, records)})
         return json_text(doc)
     raise UnsupportedFormatError(f"unsupported export format {fmt!r}")

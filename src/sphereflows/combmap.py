@@ -215,7 +215,7 @@ class CanonicalCode(NamedTuple):
     @classmethod
     def from_token(cls, token: str) -> "CanonicalCode":
         """Parse a catalog key; ValueError unless its map and mark are sound."""
-        return parse_token(token)[0]
+        return parse_token(token, {})[0]
 
     def to_map(self) -> "CombinatorialMap":
         """Rebuild the canonical representative map (unmarked)."""
@@ -307,12 +307,14 @@ def canonical_code_for(sigma, alpha, allow_reflection: bool):
     return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
 
 
-def parse_token(token: str):
+def parse_token(token: str, maps: dict):
     """``(code, map, dart)`` of a catalog key, its map built and checked once.
 
     ``dart`` is the map's dart for the mark label, None if unmarked.
     ValueError unless the key is spelled exactly as its code's ``token()``
-    writes it, the map is valid and the mark's kind and label are.
+    writes it, the map is valid and the mark's kind and label are.  ``maps``
+    holds the maps built so far by their ``(sigma, alpha)`` rows, so tokens
+    of one map share its build; only a valid map is ever stored in it.
     """
     try:
         fields = dict(part.split(":", 1) for part in token.split(";"))
@@ -332,7 +334,9 @@ def parse_token(token: str):
     try:
         if len(sigma) != 2 * n_edges:
             raise ValueError(f"{len(sigma)} darts for {n_edges} edges")
-        m = CombinatorialMap(sigma, alpha)
+        m = maps.get((sigma, alpha))
+        if m is None:
+            m = maps[sigma, alpha] = CombinatorialMap(sigma, alpha)
     except ValueError as exc:
         raise ValueError(
             f"code token is not a valid map: {token!r} ({exc})") from exc

@@ -13,8 +13,9 @@ from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  PAPER_MAX_SADDLES, UnknownCodeError,
                                  UnsupportedFormatError,
                                  build_bifurcation_catalog, build_census_report,
-                                 build_map_catalog, entry_to_dot,
-                                 export_entries, load_paper_labels, resolve)
+                                 build_map_catalog, diagram_to_dict,
+                                 entry_to_dot, export_entries,
+                                 load_paper_labels, resolve)
 
 
 def run_cli(*args, cwd=None):
@@ -73,7 +74,7 @@ class TestCatalog:
 
     def test_marked_summary_matches_realize(self, bifs2):
         for e in bifs2.entries:
-            mm = resolve(e)
+            mm = resolve(e, {})
             assert realize(mm).point_counts() == e.singular_points
             assert e.mark["kind"] == mm.mark.kind
 
@@ -140,13 +141,13 @@ class TestExports:
     def test_dot_of_chain(self, named):
         catalog = build_map_catalog(GenerationConfig(2))
         entry = catalog.entry(named["chain2"].canonical_code().token())
-        dot = entry_to_dot(entry)
+        dot = entry_to_dot(entry, {})
         assert dot.count(" -- ") == 2
         assert dot.count("[degree=") == 3
 
     def test_dot_marks_annotated(self, bifs2):
         marked = [e for e in bifs2.entries if e.mark["kind"] == "source"]
-        dot = entry_to_dot(marked[0])
+        dot = entry_to_dot(marked[0], {})
         assert 'mark="source endpoint' in dot
 
     def test_diagram_json_lists_three_points(self, named):
@@ -293,17 +294,20 @@ def test_traced_replay_records_every_layer(command, tmp_path):
     names = {span[0] for span in replay("bifurcations", *command)}
     assert {"marks.enumerate", "realize.realize", "realize.check",
             "catalog.build"} <= names
-    # an export builds and checks each entry's map once, and realizing a
-    # diagram, sink marks included, builds no other map
+    # an export builds and checks each distinct map once, however many
+    # entries mark it, and realizing a diagram, sink marks included, builds
+    # no other map
     path = tmp_path / f"bifurcations-{command[0]}-n{command[1]}.json"
     entries = Catalog.loads(path.read_text()).entries
-    for fmt in ("json", "diagram-json"):
+    rows = {tuple(e.code.split(";")[1:3]) for e in entries}
+    assert len(rows) < len(entries)
+    for fmt in ("json", "dot", "diagram-json"):
         spans = replay("export", str(path), "--format", fmt)
         names = {span[0] for span in spans}
         assert "catalog.export" in names
         assert ("realize.realize" in names) == (fmt == "diagram-json")
         assert sum(span[4]["calls"] for span in spans
-                   if span[0] == "combmap.validate") == len(entries), fmt
+                   if span[0] == "combmap.validate") == len(rows), fmt
 
 
 def damage_catalog(doc, damage):
@@ -367,6 +371,53 @@ def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
         assert list(tmp_path.iterdir()) == [catalog_path]
 
 
+# the one-edge maps' counts, so that only the mark's legality is wrong
+LOOP = {"n_edges": 1, "n_vertices": 1, "n_faces": 2, "degree_sequence": [2]}
+SEGMENT = {"n_edges": 1, "n_vertices": 2, "n_faces": 1,
+           "degree_sequence": [1, 1]}
+
+# entries in catalog order and the error of the last one; entries on the
+# same map rows reuse its build, and each still has its own checks
+ILLEGAL_MARKS = {
+    "source-on-loop": ([(BAD_TOKENS["source-on-loop-token"], LOOP)],
+                       "a source mark cannot sit on a loop edge"),
+    "sink-on-bridge": ([(BAD_TOKENS["sink-on-bridge-token"], SEGMENT)],
+                       "a sink mark needs an edge bordering two distinct faces"),
+    "t-at-leaf": ([(BAD_TOKENS["t-at-leaf-token"], SEGMENT)],
+                  "a T-mark needs a vertex of degree 3"),
+    "source-after-sink-on-loop": ([("E:1;s:1,0;a:1,0;m:sink,0", LOOP),
+                                   (BAD_TOKENS["source-on-loop-token"], LOOP)],
+                                  "a source mark cannot sit on a loop edge"),
+    "two-edges-after-sink-on-loop": (
+        [("E:1;s:1,0;a:1,0;m:sink,0", LOOP), ("E:2;s:1,0;a:1,0;m:sink,0", LOOP)],
+        "code token is not a valid map: 'E:2;s:1,0;a:1,0;m:sink,0' "
+        "(2 darts for 2 edges)"),
+}
+
+
+@pytest.mark.parametrize("case", list(ILLEGAL_MARKS))
+def test_export_of_illegal_mark_exits_2(case, tmp_path):
+    entries, message = ILLEGAL_MARKS[case]
+
+    def mark_field(token):
+        kind, label = token.rpartition("m:")[2].split(",")
+        return {"kind": kind, "dart": int(label)}
+
+    doc = {"schema_version": 1, "catalog": "saddle-node",
+           "params": {"n_saddles": 1, "allow_reflection": True},
+           "entries": [{"code": token, **counts, "mark": mark_field(token),
+                        "singular_points": {}, "paper_label": None}
+                       for token, counts in entries]}
+    catalog_path = tmp_path / "illegal.json"
+    catalog_path.write_text(json.dumps(doc))
+    for fmt in ("json", "dot", "diagram-json"):
+        res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
+        assert res.returncode == 2, fmt
+        assert res.stderr == f"error: {message}\n", fmt
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == [catalog_path]
+
+
 @pytest.mark.parametrize("version", [999, 0, None, True, 1.0])
 def test_loads_rejects_other_schema_versions(maps3, version):
     doc = maps3.to_json_doc()
@@ -378,6 +429,9 @@ def test_loads_rejects_other_schema_versions(maps3, version):
         Catalog.loads(json.dumps(doc))
     assert Catalog.loads(maps3.dumps()) == maps3
 
+
+# mark darts that are not spelled as ints
+MARK_SPELLINGS = {"dart-false": False, "dart-float": 0.0, "dart-true": True}
 
 # cell counts that are not those of the entry's map, or not spelled as ints
 WRONG_COUNTS = {
@@ -404,6 +458,9 @@ def inconsistent_catalog(doc, damage):
         entry["mark"] = None
     elif damage == "mark-on-other-dart":
         entry["mark"]["dart"] += 1
+    elif damage in MARK_SPELLINGS:
+        # equal to the token's dart 0 under ==, or to dart 1, but no int
+        entry["mark"]["dart"] = MARK_SPELLINGS[damage]
     elif damage in MISSPELLED_TOKENS:
         # every other field is this token's, so only the spelling is wrong
         assert entry["code"] == "E:2;s:0,2,1,3;a:1,0,3,2;m:source,0"
@@ -416,7 +473,7 @@ def inconsistent_catalog(doc, damage):
 @pytest.mark.parametrize("damage", [
     "schema-true", "schema-float", "nan", "infinity", "mark-on-unmarked-token",
     "no-mark-on-marked-token", "mark-on-other-dart", *MISSPELLED_TOKENS,
-    *WRONG_COUNTS,
+    *WRONG_COUNTS, *MARK_SPELLINGS,
 ])
 def test_export_of_inconsistent_catalog_exits_2(damage, tmp_path, bifs2):
     catalog_path = tmp_path / "damaged.json"
@@ -429,6 +486,8 @@ def test_export_of_inconsistent_catalog_exits_2(damage, tmp_path, bifs2):
         assert res.returncode == 2, fmt
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("error: ")
+        if damage in MARK_SPELLINGS:
+            assert res.stderr.startswith("error: entry mark "), fmt
         assert list(tmp_path.iterdir()) == [catalog_path]
 
 
@@ -476,3 +535,36 @@ def test_outputs_match_benchmark_digests(monkeypatch):
         assert workloads.export_digest(fmt, text) == expected, key
         if fmt != "dot":
             assert text == stdlib_text(json.loads(text)), key
+
+
+def fresh_diagram(dia):
+    """A diagram as diagram-json spells it, every record its own dict."""
+    return {
+        "points": [{"id": p.id, "kind": p.kind,
+                    "origin": {"cell": p.origin[0], "dart": p.origin[1]}}
+                   for p in dia.points],
+        "separatrices": [{"from": a.source, "to": a.target, "anchor": a.anchor}
+                         for a in dia.separatrices],
+        "saddle_connection": list(dia.saddle_connection)
+        if dia.saddle_connection else None,
+    }
+
+
+@pytest.mark.parametrize("reflect", [True, False])
+@pytest.mark.parametrize("kind, n", [
+    *(("saddle-node", n) for n in range(1, PAPER_MAX_SADDLES + 1)),
+    *(("saddle-connection", n) for n in range(2, PAPER_MAX_SADDLES + 1))])
+def test_diagram_json_shares_records_and_keeps_stdlib_bytes(kind, n, reflect):
+    entries = build_bifurcation_catalog(kind, n, reflect).entries
+    fresh = [{"code": e.code, "diagram": fresh_diagram(realize(resolve(e, {})))}
+             for e in entries]
+    assert export_entries(entries, "diagram-json") == stdlib_text(fresh)
+    # equal points and equal arcs are one dict; the two one-saddle
+    # diagrams have none in common
+    records = {}
+    docs = [diagram_to_dict(resolve(e, {}), records) for e in entries]
+    for field in ("points", "separatrices"):
+        dicts = [r for d in docs for r in d[field]]
+        distinct = {json.dumps(r, sort_keys=True) for r in dicts}
+        assert len({id(r) for r in dicts}) == len(distinct)
+        assert len(distinct) < len(dicts) or n == 1

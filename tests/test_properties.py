@@ -220,7 +220,7 @@ def test_json_and_dot_exports_agree_on_mutated_tokens(token):
     mark = ({"kind": kind, "dart": int(label)}
             if label.removeprefix("-").isdigit() else None)
     try:
-        m = parse_token(token)[1]
+        m = parse_token(token, {})[1]
         counts = (m.n_edges, m.n_vertices, m.n_faces, m.degree_sequence())
     except ValueError:
         counts = (1, 2, 1, (1, 1))
@@ -260,3 +260,31 @@ def test_json_text_spells_what_the_stdlib_spells():
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
     with pytest.raises(TypeError):
         json_text({"set": {1}})
+
+
+@st.composite
+def documents_with_shared_dicts(draw):
+    """A document that holds the same dict objects more than once: at one
+    depth, at different depths, and inside one another."""
+    keys = st.text(max_size=3)
+    leaves = st.none() | st.integers() | st.floats() | keys
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        shared = draw(st.dictionaries(keys, leaves | st.lists(leaves, max_size=2),
+                                      min_size=1, max_size=3))
+        if pool:
+            shared.update(draw(st.dictionaries(keys, st.sampled_from(pool),
+                                               max_size=2)))
+        pool.append(shared)
+    tree = draw(st.recursive(
+        st.sampled_from(pool) | leaves,
+        lambda values: st.lists(values, max_size=4)
+        | st.dictionaries(keys, values, max_size=4),
+        max_leaves=12))
+    return [tree, pool, pool, {"deeper": [pool]}]
+
+
+@given(documents_with_shared_dicts())
+@settings(max_examples=200, deadline=None)
+def test_json_text_spells_shared_dicts_as_the_stdlib(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

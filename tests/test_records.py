@@ -44,6 +44,16 @@ def test_cli_import_loads_no_pool_or_dataclasses():
     assert heavy(loaded) == []
 
 
+def test_cli_import_loads_every_module_the_replay_reads():
+    # censusbench/replay.py takes these from sys.modules right after
+    # ``import sphereflows.cli``; a module imported lazily would show only
+    # as a KeyError inside the traced replay
+    loaded = modules_loaded_by("import sphereflows.cli")
+    assert {"sphereflows", *(f"sphereflows.{name}" for name in (
+        "combmap", "generate", "marks", "realize", "catalog", "cli"))} \
+        <= set(loaded)
+
+
 def test_brute_with_jobs_starts_no_workers():
     loaded = modules_loaded_by(
         "from sphereflows import GenerationConfig, generate_maps; "
