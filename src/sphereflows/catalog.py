@@ -127,15 +127,18 @@ class CatalogEntry(namedtuple(
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogEntry":
+        mark = d["mark"]
+        if mark is not None and type(mark) is not dict:
+            raise TypeError(f"entry mark {mark!r} is neither null nor an object")
         return cls(
             code=d["code"],
             n_edges=d["n_edges"],
             n_vertices=d["n_vertices"],
             n_faces=d["n_faces"],
             degree_sequence=tuple(d["degree_sequence"]),
-            mark=dict(d["mark"]) if d.get("mark") else None,
+            mark=None if mark is None else dict(mark),
             singular_points=dict(d["singular_points"]),
-            paper_label=d.get("paper_label"),
+            paper_label=d["paper_label"],
         )
 
 
@@ -320,13 +323,12 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
     rows = []
     notes = []
 
-    map_counts = {}
-    for e in range(1, PAPER_MAX_SADDLES + 2):
-        maps = generate_maps(GenerationConfig(e, allow_reflection))
-        map_counts[e] = len(maps)
-        rows.append(ReportRow("spherical maps", f"{e}-edge maps", len(maps),
+    maps = {e: generate_maps(GenerationConfig(e, allow_reflection))
+            for e in range(1, PAPER_MAX_SADDLES + 2)}
+    for e, maps_e in maps.items():
+        rows.append(ReportRow("spherical maps", f"{e}-edge maps", len(maps_e),
                               PAPER_EXPECTED_MAPS.get(e)))
-    if map_counts[4] != PAPER_EXPECTED_MAPS[4]:
+    if len(maps[4]) != PAPER_EXPECTED_MAPS[4]:
         notes.append(
             "the four-edge catalog is closed under duality and its rooted count "
             "matches the exact rooted-map enumeration; the published list of "
@@ -337,18 +339,12 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
     sc = {n: saddle_connection_census(n, allow_reflection=allow_reflection)
           for n in range(2, PAPER_MAX_SADDLES + 1)}
 
-    flows = {
-        3: ("saddle-node flows, 1 saddle", sn[1].total),
-        4: ("flows with four singular points (impossible)", 0),
-        5: ("saddle-node flows, 2 saddles", sn[2].total),
-        6: ("saddle-connection flows, 2 saddles", sc[2].total),
-        7: ("saddle-node flows, 3 saddles", sn[3].total),
-        8: ("saddle-connection flows, 3 saddles", sc[3].total),
-        9: ("saddle-node flows, 4 saddles", sn[4].total),
-        10: ("saddle-connection flows, 4 saddles", sc[4].total),
-    }
-    for pts in sorted(flows):
-        label, computed = flows[pts]
+    flows = [(4, "flows with four singular points (impossible)", 0)] + [
+        (c.singular_points, f"{kind} flows, {n} saddle{'s' if n > 1 else ''}",
+         c.total)
+        for kind, censuses in (("saddle-node", sn), ("saddle-connection", sc))
+        for n, c in censuses.items()]
+    for pts, label, computed in sorted(flows):
         rows.append(ReportRow("flows by singular points",
                               f"{pts} points: {label}", computed,
                               PAPER_EXPECTED_FLOWS[pts]))
@@ -366,26 +362,23 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
             ("total, flow identified with its reverse", sn[4].total_source, None)):
         rows.append(ReportRow("9 points breakdown", label, computed, expected))
 
-    cat_labels = {
-        CONNECTED_AFTER_CUT: "perpendicular edge keeps the rest connected",
-        FAR_SIDE_TWO_EDGES: "perpendicular edge cuts off two edges",
-        FAR_SIDE_ONE_EDGE: "perpendicular edge cuts off one edge",
-    }
-    for cat in (CONNECTED_AFTER_CUT, FAR_SIDE_TWO_EDGES, FAR_SIDE_ONE_EDGE):
-        rows.append(ReportRow("10 points breakdown", cat_labels[cat],
+    for cat, label in (
+            (CONNECTED_AFTER_CUT, "perpendicular edge keeps the rest connected"),
+            (FAR_SIDE_TWO_EDGES, "perpendicular edge cuts off two edges"),
+            (FAR_SIDE_ONE_EDGE, "perpendicular edge cuts off one edge")):
+        rows.append(ReportRow("10 points breakdown", label,
                               sc[4].by_category[cat], PAPER_EXPECTED_SC4[cat]))
 
     # the census rows follow the maps in code order
-    maps4 = generate_maps(GenerationConfig(4, allow_reflection))
     duality_ok = all(
         row.n_sink
         == len(enumerate_source_marks(m.dual(), allow_reflection=allow_reflection))
-        for m, row in zip(maps4, sn[4].rows))
+        for m, row in zip(maps[4], sn[4].rows))
     parity = {
         "source_classes": sn[4].total_source,
         "sink_classes": sn[4].total_sink,
         "per_map_duality_bijection_verified": duality_ok,
-        "n_maps_checked": len(maps4),
+        "n_maps_checked": len(maps[4]),
     }
 
     if sn[3].total != PAPER_EXPECTED_FLOWS[7]:

@@ -63,6 +63,14 @@ def perm_orbits(p: Sequence[int]) -> tuple:
     return tuple(out)
 
 
+def _orbit_index(orbits, n: int) -> tuple:
+    idx = [0] * n
+    for i, orb in enumerate(orbits):
+        for d in orb:
+            idx[d] = i
+    return tuple(idx)
+
+
 def normal_alpha(n_edges: int) -> tuple:
     """The involution (0 1)(2 3)...(2E-2 2E-1)."""
     return tuple(d + 1 if d % 2 == 0 else d - 1 for d in range(2 * n_edges))
@@ -94,32 +102,19 @@ def _is_transitive(sigma, alpha) -> bool:
     return count == n
 
 
-def _n_cycles(p) -> int:
-    n = len(p)
-    seen = bytearray(n)
-    count = 0
-    for d in range(n):
-        if not seen[d]:
-            count += 1
-            while not seen[d]:
-                seen[d] = 1
-                d = p[d]
-    return count
-
-
 def sphere_failures(sigma, alpha) -> list:
     """Which of "NotConnected" and "NotSpherical" the rotation system violates.
 
     Spherical means Euler's formula ``V - E + F = 2`` with ``E = n / 2``,
-    vertices the cycles of ``sigma`` and faces those of ``sigma∘alpha``.
-    With a fixed-point-free involution ``alpha``, an empty list means a valid
-    map.
+    ``V`` the number of orbits of ``sigma`` and ``F`` that of
+    ``sigma∘alpha``, both counted by :func:`perm_orbits`.  With a
+    fixed-point-free involution ``alpha``, an empty list means a valid map.
     """
     failures = []
     if not _is_transitive(sigma, alpha):
         failures.append("NotConnected")
     phi = [sigma[a] for a in alpha]
-    if _n_cycles(sigma) - len(sigma) // 2 + _n_cycles(phi) != 2:
+    if len(perm_orbits(sigma)) - len(sigma) // 2 + len(perm_orbits(phi)) != 2:
         failures.append("NotSpherical")
     return failures
 
@@ -158,7 +153,12 @@ class MapMark:
                 f"mark dart {self.dart} outside dart range 0..{m.n_darts - 1}")
 
     def validate_on(self, m: "CombinatorialMap") -> None:
-        """Raise InvalidMarkError unless the mark is legal on ``m``."""
+        """Raise InvalidMarkError unless the mark is legal on ``m``; each kind
+        states once, in ``why_illegal(m, d)``, why it cannot sit at dart d."""
+        self.check_on(m)
+        why = self.why_illegal(m, self.dart)
+        if why is not None:
+            raise InvalidMarkError(why)
 
     def trace_value(self, labels, alpha, reflected: bool) -> int:
         raise NotImplementedError
@@ -451,19 +451,11 @@ class CombinatorialMap:
 
     @cached_property
     def _vertex_index(self) -> tuple:
-        idx = [0] * self.n_darts
-        for i, orb in enumerate(self.vertex_orbits):
-            for d in orb:
-                idx[d] = i
-        return tuple(idx)
+        return _orbit_index(self.vertex_orbits, self.n_darts)
 
     @cached_property
     def _face_index(self) -> tuple:
-        idx = [0] * self.n_darts
-        for i, orb in enumerate(self.face_orbits):
-            for d in orb:
-                idx[d] = i
-        return tuple(idx)
+        return _orbit_index(self.face_orbits, self.n_darts)
 
     def vertex_of(self, d: int) -> int:
         """Index into ``vertex_orbits`` of the vertex the dart leaves."""

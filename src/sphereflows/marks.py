@@ -4,14 +4,14 @@ A map with E edges stands for the Morse flow whose sources are the vertices,
 saddles the edge interiors and sinks the faces.  The degenerate flows are
 encoded by one extra selection:
 
-* ``SourceMark`` -- a non-loop edge together with one endpoint (the saddle
-  merging into a source); stored as the dart leaving that endpoint.
-* ``SinkMark`` -- an edge together with one of its two faces, which must be
-  distinct (the saddle merging into a sink); stored as the dart whose left
-  face is the chosen one.
-* ``TMark`` -- a degree-3 vertex with no incident loop whose marked dart is
-  the perpendicular leg of the letter T (a saddle connection); the other
-  two darts are the collinear pair.
+* ``SourceMark`` -- an edge together with one endpoint (the saddle merging
+  into a source); stored as the dart leaving that endpoint.
+* ``SinkMark`` -- an edge together with one of its faces (the saddle merging
+  into a sink); stored as the dart whose left face is the chosen one.
+* ``TMark`` -- a vertex whose marked dart is the perpendicular leg of the
+  letter T (a saddle connection); the other two darts are the collinear pair.
+
+Each kind states once, in ``why_illegal(m, d)``, where it may sit.
 
 Under orientation reversal a dart keeps its edge and endpoint but its left
 and right faces swap, so a sink mark transports to the partner dart
@@ -27,7 +27,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import NamedTuple
 
-from .combmap import CombinatorialMap, InvalidMarkError, MapMark
+from .combmap import CombinatorialMap, InvalidMarkError, MapMark, parse_token
 from .generate import MAX_EDGES, GenerationConfig, generate_maps
 
 T_MIN_SADDLES = 2
@@ -45,29 +45,30 @@ class NotReversibleError(ValueError):
 
 
 class SourceMark(MapMark):
-    """Selects edge(dart) and its endpoint vertex(dart); edge must not be a loop."""
+    """Selects edge(dart) and its endpoint vertex(dart)."""
 
     __slots__ = ()
     kind = "source"
 
-    def validate_on(self, m):
-        if m.is_loop(self.dart):
-            raise InvalidMarkError("a source mark cannot sit on a loop edge")
+    @staticmethod
+    def why_illegal(m, d):
+        if m.is_loop(d):
+            return "a source mark cannot sit on a loop edge"
 
     def trace_value(self, labels, alpha, reflected):
         return labels[self.dart]
 
 
 class SinkMark(MapMark):
-    """Selects edge(dart) and face(dart); the edge's two faces must differ."""
+    """Selects edge(dart) and face(dart)."""
 
     __slots__ = ()
     kind = "sink"
 
-    def validate_on(self, m):
-        if m.is_bridge(self.dart):
-            raise InvalidMarkError(
-                "a sink mark needs an edge bordering two distinct faces")
+    @staticmethod
+    def why_illegal(m, d):
+        if m.is_bridge(d):
+            return "a sink mark needs an edge bordering two distinct faces"
 
     def trace_value(self, labels, alpha, reflected):
         # reversal swaps the sides of the edge; alpha(d) designates the same
@@ -76,28 +77,26 @@ class SinkMark(MapMark):
 
 
 class TMark(MapMark):
-    """Selects the perpendicular dart at a T-vertex.
-
-    The vertex must have degree 3 and no incident loop; the two remaining
-    darts are the collinear pair, left implicit.
-    """
+    """Selects the perpendicular dart at a T-vertex; the two other darts
+    there are the collinear pair, left implicit."""
 
     __slots__ = ()
     kind = "t"
 
-    def validate_on(self, m):
-        orbit = m.vertex_orbits[m.vertex_of(self.dart)]
+    @staticmethod
+    def why_illegal(m, d):
+        orbit = m.vertex_orbits[m.vertex_of(d)]
         if len(orbit) != 3:
-            raise InvalidMarkError("a T-mark needs a vertex of degree 3")
-        if any(m.alpha[d] in orbit for d in orbit):
-            raise InvalidMarkError("a T-vertex must have no incident loop")
+            return "a T-mark needs a vertex of degree 3"
+        if any(map(m.is_loop, orbit)):
+            return "a T-vertex must have no incident loop"
 
     def trace_value(self, labels, alpha, reflected):
         return labels[self.dart]
 
 
 Mark = SourceMark | SinkMark | TMark
-MARK_CLASSES = {"source": SourceMark, "sink": SinkMark, "t": TMark}
+MARK_CLASSES = {c.kind: c for c in (SourceMark, SinkMark, TMark)}
 
 
 class MarkedMap(namedtuple("MarkedMap", "map mark")):
@@ -106,7 +105,6 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
     __slots__ = ()
 
     def __new__(cls, map: CombinatorialMap, mark: Mark):
-        mark.check_on(map)
         mark.validate_on(map)
         return super().__new__(cls, map, mark)
 
@@ -126,41 +124,37 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
 
 
 def marked_map_from_code(code) -> MarkedMap:
-    """Rebuild the canonical representative of a marked-map class."""
-    if code.mark is None:
+    """Rebuild the canonical representative of a marked-map class; ValueError
+    unless the code's map is valid and its mark's kind and label are."""
+    _, m, dart = parse_token(code.token(), {})
+    if dart is None:
         raise ValueError("code carries no mark")
-    kind, label = code.mark
-    cls = MARK_CLASSES.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown mark kind {kind!r}")
-    m = code.to_map()
-    return MarkedMap(m, cls(m.relabel[label]))
+    return MarkedMap(m, MARK_CLASSES[code.mark[0]](dart))
 
 
-def _mark_classes(m: CombinatorialMap, mark_cls, darts, allow_reflection):
-    """One marked map per class of ``mark_cls`` marks on ``darts``, by code.
+def _mark_classes(m: CombinatorialMap, mark_cls, allow_reflection):
+    """One marked map per class of the legal ``mark_cls`` marks on ``m``, by code.
 
     The marks share the map's one kernel run, so each dart costs only the
     least of its trace values over the map's automorphisms; a marked map is
     built for the first dart of each class alone.
     """
     first = {}
-    for d in darts:
-        first.setdefault(m.canonical_code(mark_cls(d), allow_reflection), d)
+    for d in range(m.n_darts):
+        if mark_cls.why_illegal(m, d) is None:
+            first.setdefault(m.canonical_code(mark_cls(d), allow_reflection), d)
     return [MarkedMap(m, mark_cls(first[code]))
             for code in sorted(first, key=attrgetter("sort_key"))]
 
 
 def enumerate_source_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, source mark), ordered by code."""
-    darts = [d for d in range(m.n_darts) if not m.is_loop(d)]
-    return _mark_classes(m, SourceMark, darts, allow_reflection)
+    return _mark_classes(m, SourceMark, allow_reflection)
 
 
 def enumerate_sink_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
     """One marked map per class of (m, sink mark), ordered by code."""
-    darts = [d for d in range(m.n_darts) if not m.is_bridge(d)]
-    return _mark_classes(m, SinkMark, darts, allow_reflection)
+    return _mark_classes(m, SinkMark, allow_reflection)
 
 
 def _maps_for(kind: str, n_saddles: int, allow_reflection: bool):
@@ -183,9 +177,7 @@ def enumerate_t_marks(n_saddles: int, *, allow_reflection: bool = True):
     """
     out = []
     for m in _maps_for("saddle-connection", n_saddles, allow_reflection):
-        darts = [p for orbit in m.vertex_orbits if len(orbit) == 3
-                 and not any(m.alpha[d] in orbit for d in orbit) for p in orbit]
-        out += _mark_classes(m, TMark, darts, allow_reflection)
+        out += _mark_classes(m, TMark, allow_reflection)
     return out
 
 
@@ -326,7 +318,7 @@ class SaddleConnectionCensus(NamedTuple):
 
 def saddle_connection_census(n_saddles: int, *,
                              allow_reflection: bool = True) -> SaddleConnectionCensus:
-    classes = enumerate_t_marks(n_saddles, allow_reflection=allow_reflection)
+    classes = flow_classes("saddle-connection", n_saddles, allow_reflection)
     by_category = {CONNECTED_AFTER_CUT: 0, FAR_SIDE_ONE_EDGE: 0,
                    FAR_SIDE_TWO_EDGES: 0}
     for mm in classes:

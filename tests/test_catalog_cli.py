@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import sphereflows
-from sphereflows import GenerationConfig, MarkedMap, SourceMark, cli, realize
+from sphereflows import (GenerationConfig, MarkedMap, SinkMark, SourceMark,
+                         TMark, cli, generate_maps, realize)
 from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  PAPER_MAX_SADDLES, UnknownCodeError,
                                  UnsupportedFormatError,
@@ -326,7 +327,16 @@ def damage_catalog(doc, damage):
         doc["schema_version"] = 999
     elif damage in BAD_TOKENS:
         doc["entries"][0]["code"] = BAD_TOKENS[damage]
+    elif damage in FALSY_MARKS:
+        doc["entries"][0]["mark"] = FALSY_MARKS[damage]
     return json.dumps(doc)
+
+
+# an unmarked entry's mark spelled falsy but not null
+FALSY_MARKS = {"mark-false": False, "mark-0": 0, "mark-empty-string": "",
+               "mark-empty-list": [], "mark-empty-object": {}}
+# a missing field, or a falsy mark, that json export must not write as null
+NULLED_FIELDS = ["no-mark", "no-paper_label", *FALSY_MARKS]
 
 
 # spellings of E:2;s:0,2,1,3;a:1,0,3,2;m:source,0, the first code of the
@@ -357,12 +367,13 @@ BAD_TOKENS = {
     "no-schema_version", "no-n_faces", "no-code", "schema-999", "bad-token",
     "torus-token", "disconnected-token", "identity-alpha-token",
     "source-on-loop-token", "sink-on-bridge-token", "t-at-leaf-token",
-    *MISSPELLED_TOKENS,
+    *MISSPELLED_TOKENS, *NULLED_FIELDS,
 ])
 def test_export_of_damaged_catalog_exits_2(damage, tmp_path, maps3):
     catalog_path = tmp_path / "damaged.json"
     catalog_path.write_text(damage_catalog(maps3.to_json_doc(), damage))
-    for fmt in ("dot", "json") if damage in BAD_TOKENS else ("dot",):
+    both = damage in BAD_TOKENS or damage in NULLED_FIELDS
+    for fmt in ("dot", "json") if both else ("dot",):
         res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
         assert res.returncode == 2, fmt
         assert len(res.stderr.splitlines()) == 1
@@ -507,15 +518,21 @@ def _catalog_for(key):
     return build_bifurcation_catalog(name, int(count[1:]), reflect)
 
 
+def bench_module(path, monkeypatch):
+    """A benchmark script imported from its file for this test only."""
+    spec = importlib.util.spec_from_file_location(f"censusbench_{path.stem}",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_outputs_match_benchmark_digests(monkeypatch):
     # the benchmark checks every catalog, report and export against these
     # digests; digesting them here makes a changed byte fail the tests too
-    spec = importlib.util.spec_from_file_location("censusbench_workloads",
-                                                  WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    # its dataclass looks its module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    workloads = bench_module(WORKLOADS, monkeypatch)
     reference = workloads.REFERENCE
     # the bytes themselves are those the stdlib encoder writes
     texts = {}
@@ -568,3 +585,21 @@ def test_diagram_json_shares_records_and_keeps_stdlib_bytes(kind, n, reflect):
         distinct = {json.dumps(r, sort_keys=True) for r in dicts}
         assert len({id(r) for r in dicts}) == len(distinct)
         assert len(distinct) < len(dicts) or n == 1
+
+
+@pytest.mark.parametrize("reflect", [True, False])
+def test_benchmark_candidates_are_the_legal_darts(reflect, monkeypatch):
+    # the traced replay counts the marks an enumerator considers (the
+    # marks.candidates and marks.yield metrics) by its own copy of the rule
+    candidates = bench_module(REPLAY, monkeypatch)._candidates
+
+    def legal(m, cls):
+        return sum(cls.why_illegal(m, d) is None for d in range(m.n_darts))
+
+    for e in range(1, 5):
+        for m in generate_maps(GenerationConfig(e, reflect)):
+            assert candidates("source", m, reflect) == legal(m, SourceMark)
+            assert candidates("sink", m, reflect) == legal(m, SinkMark)
+    for n in range(2, 5):
+        maps = generate_maps(GenerationConfig(n + 1, reflect))
+        assert candidates("t", n, reflect) == sum(legal(m, TMark) for m in maps)

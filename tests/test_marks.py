@@ -47,6 +47,33 @@ class TestMarkLegality:
         with pytest.raises(ValueError, match="NotInvolution"):
             marked_map_from_code(code)
 
+    @pytest.mark.parametrize("label", [-1, 2, True])
+    def test_hand_built_code_with_label_off_its_darts_is_rejected(self, label):
+        # -1 would index the last dart, 2 = 2E is past it, True is no int
+        code = CanonicalCode(1, (0, 1), (1, 0), ("source", label))
+        with pytest.raises(ValueError):
+            marked_map_from_code(code)
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 4])
+    def test_exactly_the_legal_darts_take_a_mark(self, e):
+        # the rules read off the cells: a source mark needs its edge's other
+        # dart at another vertex, a sink mark beside another face, a T-mark
+        # a degree-3 vertex holding no edge's two darts
+        for m in generate_maps(GenerationConfig(e)):
+            for d in range(m.n_darts):
+                at = next(orb for orb in m.vertex_orbits if d in orb)
+                beside = next(orb for orb in m.face_orbits if d in orb)
+                legal = {SourceMark: m.alpha[d] not in at,
+                         SinkMark: m.alpha[d] not in beside,
+                         TMark: len(at) == 3
+                         and all(m.alpha[x] not in at for x in at)}
+                for cls, ok in legal.items():
+                    if ok:
+                        assert MarkedMap(m, cls(d)).mark == cls(d)
+                    else:
+                        with pytest.raises(InvalidMarkError):
+                            MarkedMap(m, cls(d))
+
 
 class TestSourceMarks:
     def test_published_two_edge_counts(self, named):

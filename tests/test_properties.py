@@ -11,7 +11,9 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          enumerate_sink_marks, enumerate_source_marks,
                          enumerate_t_marks, generate_maps,
                          marked_map_from_code, realize, reverse)
-from sphereflows.catalog import CatalogEntry, export_entries, json_text
+from sphereflows.catalog import (Catalog, CatalogEntry,
+                                 build_bifurcation_catalog, build_map_catalog,
+                                 export_entries, json_text)
 from sphereflows.combmap import normal_alpha, parse_token, sphere_failures
 
 from oracles import relabel
@@ -288,3 +290,65 @@ def documents_with_shared_dicts(draw):
 @settings(max_examples=200, deadline=None)
 def test_json_text_spells_shared_dicts_as_the_stdlib(value):
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@cache
+def catalog_text(kind, n, reflection):
+    if kind == "maps":
+        return build_map_catalog(GenerationConfig(n, reflection)).dumps()
+    return build_bifurcation_catalog(kind, n, reflection).dumps()
+
+
+# None, a bool, a small int, a float, a short string, or a small list or dict
+# of those; strings and keys are often a mark's own words
+words = st.sampled_from(["kind", "dart", "source", "sink", "t"]) | st.text(max_size=3)
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats() | words,
+    lambda values: st.lists(values, max_size=3)
+    | st.dictionaries(words, values, max_size=3),
+    max_leaves=5)
+
+
+@st.composite
+def damaged_catalogs(draw):
+    """A catalog's ``catalog_text`` arguments and its text with one entry
+    damaged: a field deleted, or it or one of its nested items replaced by a
+    JSON value."""
+    source = (*draw(st.sampled_from(
+        [("maps", 3), ("saddle-node", 2), ("saddle-connection", 3)])),
+        draw(st.booleans()))
+    doc = json.loads(catalog_text(*source))
+    entry = doc["entries"][draw(st.integers(0, len(doc["entries"]) - 1))]
+    key = draw(st.sampled_from(sorted(entry)))
+    # export does not yet check singular_points against the realized diagram
+    # nor paper_label against the label file, so only their deletion counts
+    if key in ("singular_points", "paper_label") or draw(st.booleans()):
+        del entry[key]
+        return source, json.dumps(doc)
+    holder = entry
+    if entry[key] and type(entry[key]) in (list, dict) and draw(st.booleans()):
+        holder = entry[key]
+        key = draw(st.sampled_from(sorted(holder) if type(holder) is dict
+                                   else range(len(holder))))
+    holder[key] = draw(small_json)
+    return source, json.dumps(doc)
+
+
+@given(damaged_catalogs())
+@settings(max_examples=300, deadline=None)
+def test_export_rejects_damage_or_ignores_it(case):
+    # any exception other than ValueError fails the test; an export that
+    # accepts the damaged catalog holds its undamaged entries
+    source, damaged = case
+    entries = Catalog.loads(catalog_text(*source)).entries
+    try:
+        got = Catalog.loads(damaged).entries
+    except ValueError:
+        return
+    for fmt in ("json", "dot", "diagram-json"):
+        try:
+            export_entries(got, fmt)
+        except ValueError:
+            continue
+        assert (json_text([e._asdict() for e in got])
+                == json_text([e._asdict() for e in entries])), fmt
