@@ -123,9 +123,9 @@ class MapMark:
     """Base class for selections attached to a map: one dart, read-only.
 
     Concrete marks live in the :mod:`sphereflows.marks` module.  A mark
-    contributes one value to the canonical trace via :meth:`trace_value`
-    and says there how it transports under orientation reversal.  Marks are
-    equal when they are of the same class and sit on the same dart.
+    contributes the label of its dart to the canonical trace, unless its
+    kind moves under orientation reversal and says so in :meth:`trace_value`.
+    Marks are equal when they are of the same class and sit on the same dart.
     """
 
     __slots__ = ("_dart",)
@@ -161,7 +161,7 @@ class MapMark:
             raise InvalidMarkError(why)
 
     def trace_value(self, labels, alpha, reflected: bool) -> int:
-        raise NotImplementedError
+        return labels[self._dart]
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +437,12 @@ class CombinatorialMap:
         return perm_orbits(self._sigma)
 
     @cached_property
+    def _phi(self) -> tuple:
+        return tuple(self._sigma[a] for a in self._alpha)
+
+    @cached_property
     def face_orbits(self) -> tuple:
-        phi = tuple(self._sigma[self._alpha[d]] for d in range(self.n_darts))
-        return perm_orbits(phi)
+        return perm_orbits(self._phi)
 
     @property
     def n_vertices(self) -> int:
@@ -485,8 +488,7 @@ class CombinatorialMap:
         involution on encodings, and dart ids are stable, so marks transport
         by keeping their dart.
         """
-        phi = tuple(self._sigma[self._alpha[d]] for d in range(self.n_darts))
-        return CombinatorialMap(phi, self._alpha)
+        return CombinatorialMap(self._phi, self._alpha)
 
     # -- identification
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import groupby
-from operator import attrgetter
 from typing import NamedTuple
 
 from .combmap import CombinatorialMap, InvalidMarkError, MapMark, parse_token
@@ -54,9 +53,6 @@ class SourceMark(MapMark):
     def why_illegal(m, d):
         if m.is_loop(d):
             return "a source mark cannot sit on a loop edge"
-
-    def trace_value(self, labels, alpha, reflected):
-        return labels[self.dart]
 
 
 class SinkMark(MapMark):
@@ -91,9 +87,6 @@ class TMark(MapMark):
         if any(map(m.is_loop, orbit)):
             return "a T-vertex must have no incident loop"
 
-    def trace_value(self, labels, alpha, reflected):
-        return labels[self.dart]
-
 
 Mark = SourceMark | SinkMark | TMark
 MARK_CLASSES = {c.kind: c for c in (SourceMark, SinkMark, TMark)}
@@ -116,8 +109,9 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
 
     @property
     def n_singular_points(self) -> int:
-        n = self.n_saddles
-        return 2 * n + 2 if self.mark.kind == "t" else 2 * n + 1
+        """Euler's ``V + F = E + 2`` cells less the one the mark merges or
+        turns into the lower saddle, plus the saddles."""
+        return self.map.n_edges + 1 + self.n_saddles
 
     def canonical_code(self, allow_reflection: bool = True):
         return self.map.canonical_code(self.mark, allow_reflection)
@@ -136,15 +130,16 @@ def _mark_classes(m: CombinatorialMap, mark_cls, allow_reflection):
     """One marked map per class of the legal ``mark_cls`` marks on ``m``, by code.
 
     The marks share the map's one kernel run, so each dart costs only the
-    least of its trace values over the map's automorphisms; a marked map is
-    built for the first dart of each class alone.
+    least of its trace values over the map's automorphisms.  Codes of one
+    kind on one map differ only in that value, so it keys and orders the
+    classes; a marked map is built for the first dart of each class alone.
     """
     first = {}
     for d in range(m.n_darts):
         if mark_cls.why_illegal(m, d) is None:
-            first.setdefault(m.canonical_code(mark_cls(d), allow_reflection), d)
-    return [MarkedMap(m, mark_cls(first[code]))
-            for code in sorted(first, key=attrgetter("sort_key"))]
+            code = m.canonical_code(mark_cls(d), allow_reflection)
+            first.setdefault(code.mark[1], d)
+    return [MarkedMap(m, mark_cls(first[v])) for v in sorted(first)]
 
 
 def enumerate_source_marks(m: CombinatorialMap, *, allow_reflection: bool = True):
@@ -267,7 +262,7 @@ def saddle_node_census(n_saddles: int, *,
         ))
     return SaddleNodeCensus(
         n_saddles=n_saddles,
-        singular_points=2 * n_saddles + 1,
+        singular_points=classes[0].n_singular_points,
         rows=tuple(rows),
         total_source=sum(r.n_source for r in rows),
         total_sink=sum(r.n_sink for r in rows),
@@ -325,7 +320,7 @@ def saddle_connection_census(n_saddles: int, *,
         by_category[t_connection_category(mm)] += 1
     return SaddleConnectionCensus(
         n_saddles=n_saddles,
-        singular_points=2 * n_saddles + 2,
+        singular_points=classes[0].n_singular_points,
         total=len(classes),
         by_category=by_category,
     )

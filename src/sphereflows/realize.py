@@ -31,7 +31,15 @@ from typing import NamedTuple, Optional
 from .combmap import CombinatorialMap, InvalidMarkError
 from .marks import MarkedMap
 
-SADDLE_NODE_KINDS = ("saddle-node-source", "saddle-node-sink")
+# per point kind: whether only arcs joining a non-saddle count (a saddle-node's
+# hyperbolic separatrices), and the arcs in and out it must have, None for any
+SEPARATRIX_COUNTS = {
+    "saddle": (False, 2, 2),
+    "source": (False, 0, None),
+    "sink": (False, None, 0),
+    "saddle-node-source": (True, 1, 2),
+    "saddle-node-sink": (True, 2, 1),
+}
 
 
 class SingularPoint(NamedTuple):
@@ -72,56 +80,43 @@ class SeparatrixDiagram(NamedTuple):
 
     def check(self) -> list:
         """All violated diagram invariants, empty when the diagram is sound."""
-        issues = []
-        kinds = {p.id: p.kind for p in self.points}
-        indeg = {p.id: 0 for p in self.points}
-        outdeg = {p.id: 0 for p in self.points}
-        hyper_in = {p.id: 0 for p in self.points}
-        hyper_out = {p.id: 0 for p in self.points}
-        successors = {p.id: [] for p in self.points}
+        issues, connections = [], []
+        at = {p.id: i for i, p in enumerate(self.points)}
+        if len(at) != len(self.points):
+            issues.append("point ids are not distinct")
+        kinds = [p.kind for p in self.points]
+        # per point: arcs in and out, and those joining a non-saddle
+        ins, outs, hyper_in, hyper_out = ([0] * len(kinds) for _ in range(4))
+        successors = [[] for _ in kinds]
         for arc in self.separatrices:
-            if arc.source not in kinds or arc.target not in kinds:
+            s, t = at.get(arc.source), at.get(arc.target)
+            if s is None or t is None:
                 issues.append(f"arc {arc} references an unknown point")
                 continue
-            successors[arc.source].append(arc.target)
-            indeg[arc.target] += 1
-            outdeg[arc.source] += 1
-            if kinds[arc.source] != "saddle":
-                hyper_in[arc.target] += 1
-            if kinds[arc.target] != "saddle":
-                hyper_out[arc.source] += 1
-            if kinds[arc.source] == "sink" or kinds[arc.target] == "source":
+            successors[s].append(t)
+            ins[t] += 1
+            outs[s] += 1
+            hyper_in[t] += kinds[s] != "saddle"
+            hyper_out[s] += kinds[t] != "saddle"
+            if kinds[s] == "sink" or kinds[t] == "source":
                 issues.append(f"arc {arc} leaves a sink or enters a source")
-            if kinds[arc.source] == "source" and kinds[arc.target] == "sink":
+            if kinds[s] == "source" and kinds[t] == "sink":
                 issues.append(f"arc {arc} joins a source to a sink directly")
-        for p in self.points:
-            if p.kind == "saddle":
-                if indeg[p.id] != 2 or outdeg[p.id] != 2:
-                    issues.append(
-                        f"saddle {p.id} has {indeg[p.id]} in / {outdeg[p.id]} out")
-            elif p.kind == "saddle-node-source":
-                if hyper_in[p.id] != 1 or hyper_out[p.id] != 2:
-                    issues.append(
-                        f"saddle-node {p.id} has {hyper_in[p.id]}+{hyper_out[p.id]}"
-                        " hyperbolic separatrices, wants 1+2")
-            elif p.kind == "saddle-node-sink":
-                if hyper_in[p.id] != 2 or hyper_out[p.id] != 1:
-                    issues.append(
-                        f"saddle-node {p.id} has {hyper_in[p.id]}+{hyper_out[p.id]}"
-                        " hyperbolic separatrices, wants 2+1")
-            elif p.kind == "source":
-                if indeg[p.id] != 0:
-                    issues.append(f"source {p.id} has incoming separatrices")
-            elif p.kind == "sink":
-                if outdeg[p.id] != 0:
-                    issues.append(f"sink {p.id} has outgoing separatrices")
-            else:
+            if kinds[s] == kinds[t] == "saddle":
+                connections.append(arc)
+        n_sn = 0
+        for p, *found in zip(self.points, ins, outs, hyper_in, hyper_out):
+            if p.kind not in SEPARATRIX_COUNTS:
                 issues.append(f"point {p.id} has unknown kind {p.kind!r}")
-
-        n_sn = sum(1 for p in self.points if p.kind in SADDLE_NODE_KINDS)
-        connections = [arc for arc in self.separatrices
-                       if kinds.get(arc.source) == "saddle"
-                       and kinds.get(arc.target) == "saddle"]
+                continue
+            hyperbolic, want_in, want_out = SEPARATRIX_COUNTS[p.kind]
+            n_sn += hyperbolic
+            i, o = found[2:] if hyperbolic else found[:2]
+            if want_in not in (None, i) or want_out not in (None, o):
+                want = ["any" if w is None else w for w in (want_in, want_out)]
+                issues.append(f"{p.kind} {p.id} has {i} in / {o} out"
+                              f"{' hyperbolic' * hyperbolic}, wants"
+                              f" {want[0]} in / {want[1]} out")
         if self.saddle_connection is None:
             if n_sn != 1:
                 issues.append(f"{n_sn} saddle-nodes in a saddle-node diagram")
@@ -130,23 +125,17 @@ class SeparatrixDiagram(NamedTuple):
         else:
             if n_sn != 0:
                 issues.append("saddle-node present in a saddle-connection diagram")
-            pair = (self.saddle_connection[0], self.saddle_connection[1])
-            if len(connections) != 1 or \
-                    (connections[0].source, connections[0].target) != pair:
+            if [arc[:2] for arc in connections] != [tuple(self.saddle_connection[:2])]:
                 issues.append("recorded saddle connection does not match arcs")
 
         # no directed cycles: peel off points without incoming arcs
-        remaining = dict(indeg)
-        ready = [pid for pid, deg in remaining.items() if deg == 0]
-        seen = 0
-        while ready:
-            pid = ready.pop()
-            seen += 1
-            for target in successors[pid]:
-                remaining[target] -= 1
-                if remaining[target] == 0:
-                    ready.append(target)
-        if seen != len(self.points):
+        peeled = [i for i, deg in enumerate(ins) if deg == 0]
+        for i in peeled:
+            for target in successors[i]:
+                ins[target] -= 1
+                if ins[target] == 0:
+                    peeled.append(target)
+        if len(peeled) != len(self.points):
             issues.append("directed cycle among separatrices")
         return issues
 

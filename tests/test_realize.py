@@ -8,7 +8,8 @@ from sphereflows import (CombinatorialMap, GenerationConfig,
                          SeparatrixDiagram, SingularPoint, SinkMark,
                          SourceMark, TMark, enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
-                         flow_classes, generate_maps, realize)
+                         flow_classes, generate_maps, realize,
+                         saddle_connection_census, saddle_node_census)
 from sphereflows.catalog import build_bifurcation_catalog
 
 from oracles import relabel, sink_diagram_by_duality
@@ -85,6 +86,23 @@ class TestPointCountFormulas:
             assert counts.get("sink", 0) == mm.map.n_faces
             assert counts.get("saddle", 0) == n
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("allow_reflection", [True, False])
+    def test_one_singular_point_count(self, n, allow_reflection):
+        # census record, every class and every diagram agree on one count
+        counts = [("saddle-node", saddle_node_census, 2 * n + 1)]
+        if n >= 2:
+            counts.append(
+                ("saddle-connection", saddle_connection_census, 2 * n + 2))
+        for kind, census, expected in counts:
+            record = census(n, allow_reflection=allow_reflection)
+            assert record.singular_points == expected
+            classes = flow_classes(kind, n, allow_reflection)
+            assert classes
+            for mm in classes:
+                assert mm.n_singular_points == expected
+                assert realize(mm).n_points == expected
+
 
 class TestDiagramInvariants:
     @pytest.mark.parametrize("n,kind", [(1, "source"), (1, "sink"),
@@ -137,6 +155,100 @@ class TestDiagramInvariants:
     def test_realize_needs_marked_map(self, named):
         with pytest.raises(InvalidMarkError):
             realize(named["segment"])
+
+
+def hand_diagram(kinds, pairs, connection=None):
+    """A diagram with point ids 0.. of the given kinds and arcs anchored at 0."""
+    points = tuple(SingularPoint(i, k, ("edge", i)) for i, k in enumerate(kinds))
+    arcs = tuple(Separatrix(a, b, 0) for a, b in pairs)
+    return SeparatrixDiagram(points, arcs, connection)
+
+
+# sound diagrams as realize writes them: chain2 with a source mark at its
+# middle vertex, the loop with a sink mark, and star3 with a T mark
+SOURCE_SN = (("source", "source", "sink", "saddle", "saddle-node-source"),
+             [(4, 3), (3, 2), (1, 3), (3, 2), (0, 4), (4, 2), (4, 2)])
+SINK_SN = (("sink", "source", "saddle-node-sink"), [(2, 0), (1, 2), (1, 2)])
+T_CONNECTION = (("source", "source", "source", "sink", "saddle", "saddle"),
+                [(1, 4), (2, 4), (4, 5), (4, 3), (0, 5), (5, 3), (5, 3)])
+
+
+def arc_text(a, b):
+    return str(Separatrix(a, b, 0))
+
+
+# one hand-broken diagram per issue check() reports, with the exact list
+BROKEN_DIAGRAMS = {
+    "unknown-point": (
+        hand_diagram(SOURCE_SN[0], SOURCE_SN[1] + [(0, 99)]),
+        [f"arc {arc_text(0, 99)} references an unknown point"]),
+    "duplicate-id": (
+        hand_diagram(*SINK_SN)._replace(points=hand_diagram(*SINK_SN).points
+                                        + (SingularPoint(0, "sink", ()),)),
+        ["point ids are not distinct"]),
+    "arc-enters-source": (
+        hand_diagram(SOURCE_SN[0], SOURCE_SN[1] + [(4, 1)]),
+        [f"arc {arc_text(4, 1)} leaves a sink or enters a source",
+         "source 1 has 1 in / 1 out, wants 0 in / any out",
+         "saddle-node-source 4 has 1 in / 3 out hyperbolic, wants 1 in / 2 out"]),
+    "arc-leaves-sink": (
+        hand_diagram(SINK_SN[0] + ("sink",), SINK_SN[1] + [(0, 3)]),
+        [f"arc {arc_text(0, 3)} leaves a sink or enters a source",
+         "sink 0 has 1 in / 1 out, wants any in / 0 out"]),
+    "source-to-sink": (
+        hand_diagram(SOURCE_SN[0], SOURCE_SN[1] + [(0, 2)]),
+        [f"arc {arc_text(0, 2)} joins a source to a sink directly"]),
+    "saddle-counts": (
+        hand_diagram(SOURCE_SN[0], SOURCE_SN[1][:3] + SOURCE_SN[1][4:]),
+        ["saddle 3 has 2 in / 1 out, wants 2 in / 2 out"]),
+    "saddle-node-source-counts": (
+        hand_diagram(SOURCE_SN[0], SOURCE_SN[1][:-1]),
+        ["saddle-node-source 4 has 1 in / 1 out hyperbolic, wants 1 in / 2 out"]),
+    "saddle-node-sink-counts": (
+        hand_diagram(SINK_SN[0], SINK_SN[1][:-1]),
+        ["saddle-node-sink 2 has 1 in / 1 out hyperbolic, wants 2 in / 1 out"]),
+    "unknown-kind": (
+        hand_diagram(SOURCE_SN[0] + ("spiral",), SOURCE_SN[1]),
+        ["point 5 has unknown kind 'spiral'"]),
+    "no-saddle-node": (
+        hand_diagram(("source", "source", "saddle", "sink"),
+                     [(0, 2), (1, 2), (2, 3), (2, 3)]),
+        ["0 saddle-nodes in a saddle-node diagram"]),
+    "two-saddle-nodes": (
+        hand_diagram(SOURCE_SN[0] + ("saddle-node-sink",),
+                     SOURCE_SN[1] + [(0, 5), (1, 5), (5, 2)]),
+        ["2 saddle-nodes in a saddle-node diagram"]),
+    "saddle-node-in-connection": (
+        hand_diagram(T_CONNECTION[0] + ("saddle-node-source",),
+                     T_CONNECTION[1] + [(0, 6), (6, 3), (6, 3)], (4, 5)),
+        ["saddle-node present in a saddle-connection diagram"]),
+    "unrecorded-connection": (
+        hand_diagram(*T_CONNECTION),
+        ["0 saddle-nodes in a saddle-node diagram",
+         "saddle-to-saddle arc without a recorded connection"]),
+    "connection-mismatch": (
+        hand_diagram(*T_CONNECTION, (5, 4)),
+        ["recorded saddle connection does not match arcs"]),
+    "cycle": (
+        hand_diagram(SINK_SN[0] + ("saddle", "saddle"),
+                     SINK_SN[1] + [(3, 4), (4, 3)]),
+        ["saddle 3 has 1 in / 1 out, wants 2 in / 2 out",
+         "saddle 4 has 1 in / 1 out, wants 2 in / 2 out",
+         "saddle-to-saddle arc without a recorded connection",
+         "directed cycle among separatrices"]),
+}
+
+
+class TestCheckReportsEachIssue:
+    def test_sound_bases(self):
+        for kinds, pairs in (SOURCE_SN, SINK_SN):
+            assert hand_diagram(kinds, pairs).check() == []
+        assert hand_diagram(*T_CONNECTION, (4, 5)).check() == []
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_DIAGRAMS))
+    def test_exact_issues(self, name):
+        dia, issues = BROKEN_DIAGRAMS[name]
+        assert dia.check() == issues
 
 
 class TestSinkMarksOnTheirOwnMap:
