@@ -127,9 +127,13 @@ class CatalogEntry(namedtuple(
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogEntry":
-        mark = d["mark"]
+        mark, points = d["mark"], d["singular_points"]
         if mark is not None and type(mark) is not dict:
             raise TypeError(f"entry mark {mark!r} is neither null nor an object")
+        if type(points) is not dict or not all(
+                type(v) is int for v in points.values()):
+            raise TypeError(f"entry singular_points {points!r} is not an "
+                            "object of integer counts")
         return cls(
             code=d["code"],
             n_edges=d["n_edges"],
@@ -137,7 +141,7 @@ class CatalogEntry(namedtuple(
             n_faces=d["n_faces"],
             degree_sequence=tuple(d["degree_sequence"]),
             mark=None if mark is None else dict(mark),
-            singular_points=dict(d["singular_points"]),
+            singular_points=dict(points),
             paper_label=d["paper_label"],
         )
 
@@ -184,7 +188,10 @@ class Catalog(NamedTuple):
             version = doc["schema_version"]
             if type(version) is not int or version != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {version!r}")
-            return cls(doc["catalog"], dict(doc["params"]), tuple(
+            params = doc["params"]
+            if type(params) is not dict:
+                raise TypeError(f"params {params!r} is not an object")
+            return cls(doc["catalog"], dict(params), tuple(
                 CatalogEntry.from_dict(d) for d in doc["entries"]))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed catalog: {exc!r}") from exc
@@ -244,9 +251,8 @@ def resolve(entry: CatalogEntry, maps: dict):
             f"entry mark {entry.mark} does not match its code {entry.code!r}")
     counts = (entry.n_edges, entry.n_vertices, entry.n_faces,
               entry.degree_sequence)
-    # the map is spherical, so Euler's formula gives its faces; each count
-    # must also be spelled as an integer, not as 1.0 or true
-    if counts != (m.n_edges, m.n_vertices, 2 + m.n_edges - m.n_vertices,
+    # each count must also be spelled as an integer, not as 1.0 or true
+    if counts != (m.n_edges, m.n_vertices, m.n_faces,
                   m.degree_sequence()) or not all(
             type(v) is int for v in (*counts[:3], *counts[3])):
         raise ValueError(
@@ -403,6 +409,12 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
         notes.append(
             "10 points: both disconnecting categories match the published 16 "
             "and 14 exactly; the delta sits in the connected category")
+    flow_total = sum(r.computed for r in rows
+                     if r.section == "flows by singular points")
+    notes.append(
+        "3 to 10 points: the published counts sum to "
+        f"{sum(PAPER_EXPECTED_FLOWS.values())}, the abstract's total; "
+        f"this run counts {flow_total} flows")
 
     return CensusReport(allow_reflection=allow_reflection, rows=tuple(rows),
                         parity=parity, notes=tuple(notes))
@@ -411,13 +423,13 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
 # ---------------------------------------------------------------------------
 # exports
 
-def entry_to_dot(entry: CatalogEntry, maps: dict) -> str:
+def entry_to_dot(entry: CatalogEntry, flow) -> str:
     """Undirected DOT graph; mark data in the attribute key ``mark``.
 
     No geometric embedding is implied: nodes are vertex orbits, one edge
-    line per map edge.  ``maps`` caches built maps for ``resolve``.
+    line per map edge.  ``flow`` is what ``resolve`` makes of the entry.
     """
-    m, mark = resolve(entry, maps)
+    m, mark = flow
     mark_kind, mark_dart = (None, None) if mark is None else (mark.kind, mark.dart)
     lines = [f'graph "{entry.code}" {{']
     for i, orbit in enumerate(m.vertex_orbits):
@@ -465,22 +477,25 @@ def diagram_to_dict(mm: MarkedMap, records: dict) -> dict:
 def export_entries(entries, fmt: str) -> str:
     """Serialize catalog entries as json, dot or diagram-json text.
 
-    Every format resolves each entry's code token, so an invalid token or a
-    mark that is illegal on its map raises ValueError.  Tokens of one map
-    share its build and check, and the caches live for this call only.
+    Every format first resolves each entry's code token and reads its
+    ``paper_label`` against the label file, so an invalid token, a mark
+    that is illegal on its map or another label raises ValueError.  Tokens
+    of one map share its build and check, and the caches live for this
+    call only.
     """
-    maps = {}
+    maps, labels, flows = {}, load_paper_labels(), []
+    for e in entries:
+        flows.append(resolve(e, maps))
+        if e.paper_label != labels.get(e.code):
+            raise ValueError(f"entry paper_label {e.paper_label!r} is not "
+                             f"{labels.get(e.code)!r}, the label of {e.code!r}")
     if fmt == "json":
-        for e in entries:
-            resolve(e, maps)
-        doc = [e._asdict() for e in entries]
-        return json_text(doc)
+        return json_text([e._asdict() for e in entries])
     if fmt == "dot":
-        return "".join(entry_to_dot(e, maps) for e in entries)
+        return "".join(map(entry_to_dot, entries, flows))
     if fmt == "diagram-json":
         doc, records = [], {}
-        for e in entries:
-            mm = resolve(e, maps)
+        for e, mm in zip(entries, flows):
             if mm[1] is None:
                 raise UnsupportedFormatError(
                     f"diagram-json needs marked entries; {e.code} has no mark")

@@ -8,7 +8,9 @@ edges the orbits of ``alpha`` and faces the orbits of ``phi = sigma∘alpha``
 is connected and satisfies Euler's formula ``V - E + F = 2``, i.e. it
 encodes a graph embedded in the 2-sphere up to orientation-preserving
 homeomorphism.  The constructor is the one place this is checked, so
-every ``CombinatorialMap`` is valid by construction.
+every ``CombinatorialMap`` is valid by construction, and the check computes
+the map's cells once: it keeps the vertex and face cycles it counts and
+each dart's vertex and face, which every cell accessor reads.
 
 Identification up to *all* homeomorphisms (the default everywhere in this
 package) additionally quotients by orientation reversal, which on rotation
@@ -28,7 +30,6 @@ catalog key.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -102,21 +103,27 @@ def _is_transitive(sigma, alpha) -> bool:
     return count == n
 
 
+def _sphere_cells(sigma, alpha):
+    """``(failures, vertex cycles, face cycles)`` of a rotation system: the
+    cycles of ``sigma`` and ``sigma∘alpha`` by :func:`perm_orbits`, and which
+    of "NotConnected" and "NotSpherical" the system violates."""
+    vertices = perm_orbits(sigma)
+    faces = perm_orbits([sigma[a] for a in alpha])
+    failures = [] if _is_transitive(sigma, alpha) else ["NotConnected"]
+    if len(vertices) - len(sigma) // 2 + len(faces) != 2:
+        failures.append("NotSpherical")
+    return failures, vertices, faces
+
+
 def sphere_failures(sigma, alpha) -> list:
     """Which of "NotConnected" and "NotSpherical" the rotation system violates.
 
     Spherical means Euler's formula ``V - E + F = 2`` with ``E = n / 2``,
     ``V`` the number of orbits of ``sigma`` and ``F`` that of
-    ``sigma∘alpha``, both counted by :func:`perm_orbits`.  With a
-    fixed-point-free involution ``alpha``, an empty list means a valid map.
+    ``sigma∘alpha``.  With a fixed-point-free involution ``alpha``, an
+    empty list means a valid map.
     """
-    failures = []
-    if not _is_transitive(sigma, alpha):
-        failures.append("NotConnected")
-    phi = [sigma[a] for a in alpha]
-    if len(perm_orbits(sigma)) - len(sigma) // 2 + len(perm_orbits(phi)) != 2:
-        failures.append("NotSpherical")
-    return failures
+    return _sphere_cells(sigma, alpha)[0]
 
 
 class MapMark:
@@ -357,8 +364,10 @@ class CombinatorialMap:
     are relabeled on construction so that it becomes the pair normal form
     ``(0 1)(2 3)...``.  The constructor raises ValueError naming each
     failure (``NotInvolution``, ``NotConnected``, ``NotSpherical``) unless
-    the rotation system is a connected map on the sphere.  All operations
-    are pure; instances are safe to share between threads.
+    the rotation system is a connected map on the sphere.  That check walks
+    the vertex and face cycles once and keeps them, with each dart's cell,
+    for every accessor.  All operations are pure; instances are safe to
+    share between threads.
 
     >>> segment = CombinatorialMap((0, 1), (1, 0))
     >>> loop = CombinatorialMap((1, 0), (1, 0))
@@ -421,28 +430,19 @@ class CombinatorialMap:
     def n_edges(self) -> int:
         return len(self._sigma) // 2
 
-    # -- validation
+    # -- validation and cells
 
     def validate(self) -> None:
-        """Raise ValueError naming the failures unless the map is connected
+        """Compute the map's cells once: the vertex cycles of ``sigma``, the
+        face cycles of ``sigma∘alpha`` and each dart's index among both.
+        Raise ValueError naming the failures unless the map is connected
         and spherical; the constructor runs it once."""
-        failures = sphere_failures(self._sigma, self._alpha)
+        failures, self.vertex_orbits, self.face_orbits = _sphere_cells(
+            self._sigma, self._alpha)
         if failures:
             raise ValueError(f"invalid map: {', '.join(failures)}")
-
-    # -- cells
-
-    @cached_property
-    def vertex_orbits(self) -> tuple:
-        return perm_orbits(self._sigma)
-
-    @cached_property
-    def _phi(self) -> tuple:
-        return tuple(self._sigma[a] for a in self._alpha)
-
-    @cached_property
-    def face_orbits(self) -> tuple:
-        return perm_orbits(self._phi)
+        self._vertex_index = _orbit_index(self.vertex_orbits, self.n_darts)
+        self._face_index = _orbit_index(self.face_orbits, self.n_darts)
 
     @property
     def n_vertices(self) -> int:
@@ -451,14 +451,6 @@ class CombinatorialMap:
     @property
     def n_faces(self) -> int:
         return len(self.face_orbits)
-
-    @cached_property
-    def _vertex_index(self) -> tuple:
-        return _orbit_index(self.vertex_orbits, self.n_darts)
-
-    @cached_property
-    def _face_index(self) -> tuple:
-        return _orbit_index(self.face_orbits, self.n_darts)
 
     def vertex_of(self, d: int) -> int:
         """Index into ``vertex_orbits`` of the vertex the dart leaves."""
@@ -488,7 +480,8 @@ class CombinatorialMap:
         involution on encodings, and dart ids are stable, so marks transport
         by keeping their dart.
         """
-        return CombinatorialMap(self._phi, self._alpha)
+        return CombinatorialMap((self._sigma[a] for a in self._alpha),
+                                self._alpha)
 
     # -- identification
 

@@ -13,6 +13,9 @@ no comparison: the reference for the early-abort kernel in ``combmap``.
 with ``bfs_trace``, for comparison with Tutte's closed form.
 ``rooted_any_genus`` counts the rooted maps of any genus, the rotations
 the brute strategy enumerates before its sphere filter.
+``mirror_fixed`` decides from ``all_traces`` alone whether a marked map is
+isomorphic to its mirror image, the fixed points of Burnside's lemma that
+turn sensed class counts into unsensed ones.
 ``far_side_edges`` sizes the component a T-vertex's perpendicular edge cuts
 off by union-find, the reference for ``t_connection_category``.
 
@@ -157,6 +160,19 @@ def all_traces(m, allow_reflection=True):
             labels, trace = bfs_trace(sig, m.alpha, start)
             out.append((tuple(trace), reflected, labels))
     return out
+
+
+def mirror_fixed(mm):
+    """Whether ``mm`` is isomorphic to its orientation reversal: the least
+    ``(trace, mark value)`` over reflected starts equals the least over
+    unreflected starts.  Under reflection a sink mark is read at
+    ``alpha(d)``, because the faces beside its edge swap."""
+    m, d, kind = mm.map, mm.mark.dart, mm.mark.kind
+    least = {}
+    for trace, reflected, labels in all_traces(m):
+        key = (trace, labels[m.alpha[d] if reflected and kind == "sink" else d])
+        least[reflected] = min(least.get(reflected, key), key)
+    return least[False] == least[True]
 
 
 def rooted_count(e):

@@ -17,6 +17,8 @@ from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  build_map_catalog, diagram_to_dict,
                                  entry_to_dot, export_entries,
                                  load_paper_labels, resolve)
+from sphereflows.generate import MAX_EDGES, MIN_EDGES
+from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
 
 
 def run_cli(*args, cwd=None):
@@ -127,6 +129,20 @@ class TestCensusReport:
         assert report.notes
         assert any("217" in n for n in report.notes)
 
+    @pytest.mark.parametrize("allow_reflection, total", [(True, 583),
+                                                         (False, 855)])
+    def test_last_note_sets_the_abstract_total_beside_this_run(
+            self, report, allow_reflection, total):
+        if not allow_reflection:
+            report = build_census_report(allow_reflection=False)
+        published = sum(PAPER_EXPECTED_FLOWS[p] for p in range(3, 11))
+        computed = sum(r.computed for r in report.rows
+                       if r.section == "flows by singular points")
+        assert (published, computed) == (469, total)
+        assert report.notes[-1] == (
+            "3 to 10 points: the published counts sum to 469, the abstract's "
+            f"total; this run counts {total} flows")
+
     def test_report_round_trips_to_json(self, report):
         doc = json.loads(report.dumps())
         assert doc["schema_version"] == 1
@@ -142,13 +158,13 @@ class TestExports:
     def test_dot_of_chain(self, named):
         catalog = build_map_catalog(GenerationConfig(2))
         entry = catalog.entry(named["chain2"].canonical_code().token())
-        dot = entry_to_dot(entry, {})
+        dot = entry_to_dot(entry, resolve(entry, {}))
         assert dot.count(" -- ") == 2
         assert dot.count("[degree=") == 3
 
     def test_dot_marks_annotated(self, bifs2):
         marked = [e for e in bifs2.entries if e.mark["kind"] == "source"]
-        dot = entry_to_dot(marked[0], {})
+        dot = entry_to_dot(marked[0], resolve(marked[0], {}))
         assert 'mark="source endpoint' in dot
 
     def test_diagram_json_lists_three_points(self, named):
@@ -222,9 +238,6 @@ class TestCli:
         assert sorted(tmp_path.iterdir()) == [catalog_path]
 
     def test_help_shows_supported_ranges(self, capsys):
-        from sphereflows.generate import MAX_EDGES, MIN_EDGES
-        from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
-
         expected = {
             ("maps", "--help"): f"number of edges ({MIN_EDGES}..{MAX_EDGES})",
             ("bifurcations", "--help"):
@@ -414,10 +427,12 @@ def test_export_of_illegal_mark_exits_2(case, tmp_path):
         kind, label = token.rpartition("m:")[2].split(",")
         return {"kind": kind, "dart": int(label)}
 
+    # each entry carries its token's label, so that only the mark is wrong
+    labels = load_paper_labels()
     doc = {"schema_version": 1, "catalog": "saddle-node",
            "params": {"n_saddles": 1, "allow_reflection": True},
            "entries": [{"code": token, **counts, "mark": mark_field(token),
-                        "singular_points": {}, "paper_label": None}
+                        "singular_points": {}, "paper_label": labels.get(token)}
                        for token, counts in entries]}
     catalog_path = tmp_path / "illegal.json"
     catalog_path.write_text(json.dumps(doc))
@@ -500,6 +515,74 @@ def test_export_of_inconsistent_catalog_exits_2(damage, tmp_path, bifs2):
         if damage in MARK_SPELLINGS:
             assert res.stderr.startswith("error: entry mark "), fmt
         assert list(tmp_path.iterdir()) == [catalog_path]
+
+
+# a catalog field that json.loads reads as another JSON type than its own, or
+# a paper_label that is not the label file's; the first entry is
+# E:2;s:0,2,1,3;a:1,0,3,2;m:source,0, labelled Fig3:3, one saddle
+MISTYPED_FIELDS = {
+    "params-string": ("params", "n_saddles=2"),
+    "params-pairs": ("params", [["n_saddles", 2], ["allow_reflection", True]]),
+    "singular_points-string": ("singular_points", "source=2"),
+    "singular_points-pairs": ("singular_points", [["saddle", 1], ["sink", 1],
+                                                  ["source", 2],
+                                                  ["saddle-node-source", 1]]),
+    "count-string": ("saddle", "1"),
+    "count-float": ("saddle", 1.0),
+    "count-true": ("saddle", True),
+    "paper_label-null": ("paper_label", None),
+    "paper_label-other": ("paper_label", "Fig3:4"),
+    "paper_label-int": ("paper_label", 3),
+}
+
+
+@pytest.mark.parametrize("damage", list(MISTYPED_FIELDS))
+def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
+    key, value = MISTYPED_FIELDS[damage]
+    doc = json.loads(bifs2.dumps())
+    entry = doc["entries"][0]
+    assert (entry["code"], entry["paper_label"]) == (
+        "E:2;s:0,2,1,3;a:1,0,3,2;m:source,0", "Fig3:3")
+    holder = doc if key == "params" else (
+        entry["singular_points"] if key == "saddle" else entry)
+    holder[key] = value
+    catalog_path = tmp_path / "mistyped.json"
+    catalog_path.write_text(json.dumps(doc))
+    prefix = ("error: entry paper_label " if key == "paper_label"
+              else f"error: cannot read catalog {catalog_path}: malformed catalog: ")
+    for fmt in ("json", "dot", "diagram-json"):
+        res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
+        assert res.returncode == 2, fmt
+        assert len(res.stderr.splitlines()) == 1, fmt
+        assert res.stderr.startswith(prefix), fmt
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == [catalog_path]
+
+
+def test_label_on_an_unlabelled_entry_is_rejected():
+    labels = load_paper_labels()
+    entries = build_bifurcation_catalog("saddle-node", 3).entries
+    entry = next(e for e in entries if e.code not in labels)
+    assert entry.paper_label is None
+    export_entries([entry], "json")
+    for fmt in ("json", "dot", "diagram-json"):
+        with pytest.raises(ValueError, match="^entry paper_label 'Fig3:3' "):
+            export_entries([entry._replace(paper_label="Fig3:3")], fmt)
+
+
+@pytest.mark.parametrize("reflect", [True, False])
+def test_every_built_catalog_exports(reflect):
+    catalogs = [build_map_catalog(GenerationConfig(e, reflect))
+                for e in range(MIN_EDGES, MAX_EDGES + 1)]
+    catalogs += [build_bifurcation_catalog(kind, n, reflect)
+                 for kind, low in (("saddle-node", SN_MIN_SADDLES),
+                                   ("saddle-connection", T_MIN_SADDLES))
+                 for n in range(low, MAX_SADDLES + 1)]
+    for catalog in catalogs:
+        entries = Catalog.loads(catalog.dumps()).entries
+        marked = catalog.kind != "maps"
+        for fmt in ("json", "dot", "diagram-json")[:3 if marked else 2]:
+            assert export_entries(entries, fmt)
 
 
 def stdlib_text(doc):

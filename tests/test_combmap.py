@@ -7,7 +7,7 @@ import sphereflows.combmap as combmap
 import sphereflows.generate as gen
 from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          InvalidMarkError, MarkedMap, SinkMark, SourceMark,
-                         TMark, generate_maps)
+                         TMark, flow_classes, generate_maps, realize)
 from sphereflows.catalog import build_census_report
 from sphereflows.combmap import (_least_trace, canonical_code_for,
                                  normal_alpha, sphere_failures)
@@ -84,6 +84,39 @@ class TestOrbits:
                 assert all(m.sigma[m.alpha[d]] in orbit for d in orbit)
                 phi0 = m.sigma[m.alpha[orbit[0]]]
                 assert m.face_of(phi0) == m.face_of(orbit[0])
+
+    @staticmethod
+    def counted_walks(monkeypatch):
+        """The permutations the one cycle walker is called on from now."""
+        calls = []
+        walk = combmap.perm_orbits
+        monkeypatch.setattr(combmap, "perm_orbits",
+                            lambda p: calls.append(p) or walk(p))
+        return calls
+
+    def test_construction_walks_the_cells_once(self, named, monkeypatch):
+        calls = self.counted_walks(monkeypatch)
+        for m in named.values():
+            calls.clear()
+            built = CombinatorialMap(m.sigma, m.alpha)
+            assert len(calls) == 2
+            cells = (built.vertex_orbits, built.face_orbits, built.n_vertices,
+                     built.n_faces, built.degree_sequence(), repr(built),
+                     [(built.vertex_of(d), built.face_of(d), built.is_loop(d),
+                       built.is_bridge(d)) for d in range(built.n_darts)])
+            assert len(calls) == 2
+            assert cells[:2] == (m.vertex_orbits, m.face_orbits)
+
+    @pytest.mark.parametrize("reflect, most", [(True, 148), (False, 158)])
+    def test_saddle_node_n4_walks_two_cycle_sets_per_map(self, reflect, most,
+                                                         monkeypatch):
+        # 72 maps are built unsensed and 77 sensed, each walked twice, plus
+        # the four walks of brute's filter for the one-edge maps
+        monkeypatch.setattr(gen, "_cache", {})
+        calls = self.counted_walks(monkeypatch)
+        for mm in flow_classes("saddle-node", 4, reflect):
+            realize(mm)
+        assert len(calls) <= most
 
 
 class TestDual:

@@ -13,7 +13,7 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
 from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                                FAR_SIDE_TWO_EDGES)
 
-from oracles import (far_side_edges, marked_classes, relabel,
+from oracles import (far_side_edges, marked_classes, mirror_fixed, relabel,
                      sensed_source_classes, source_class_count)
 
 
@@ -230,6 +230,22 @@ class TestSaddleNodeCensus:
         # sink classes follow from source classes through duality
         c = saddle_node_census(n, allow_reflection=False)
         assert c.total_source == c.total_sink == sensed_source_classes(n) == count
+
+    @pytest.mark.parametrize("kind, n, fixed", [
+        *(("source", n, f) for n, f in ((1, 1), (2, 5), (3, 20), (4, 92))),
+        *(("sink", n, f) for n, f in ((1, 1), (2, 5), (3, 20), (4, 92))),
+        *(("t", n, f) for n, f in ((2, 3), (3, 12), (4, 60)))])
+    def test_unsensed_counts_by_burnside(self, kind, n, fixed):
+        # reversal acts on the sensed classes with order two, so by
+        # Burnside's lemma the unsensed classes number (sensed + fixed) / 2;
+        # the fixed classes are found without canonical codes
+        flows = "saddle-connection" if kind == "t" else "saddle-node"
+        sensed, unsensed = ([mm for mm in flow_classes(flows, n, reflection)
+                             if mm.mark.kind == kind]
+                            for reflection in (False, True))
+        assert sum(map(mirror_fixed, sensed)) == fixed
+        assert len(unsensed) == (len(sensed) + fixed) // 2
+        assert (len(sensed) + fixed) % 2 == 0
 
     def test_four_saddles_matches_exhaustive_search(self):
         # puts the published-217 refutation on brute-force footing (the sink

@@ -320,9 +320,9 @@ def damaged_catalogs(draw):
     doc = json.loads(catalog_text(*source))
     entry = doc["entries"][draw(st.integers(0, len(doc["entries"]) - 1))]
     key = draw(st.sampled_from(sorted(entry)))
-    # export does not yet check singular_points against the realized diagram
-    # nor paper_label against the label file, so only their deletion counts
-    if key in ("singular_points", "paper_label") or draw(st.booleans()):
+    # export does not yet check singular_points against the realized diagram,
+    # so only its deletion counts
+    if key == "singular_points" or draw(st.booleans()):
         del entry[key]
         return source, json.dumps(doc)
     holder = entry
