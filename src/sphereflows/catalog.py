@@ -183,8 +183,8 @@ class Catalog(NamedTuple):
     @classmethod
     def loads(cls, text: str) -> "Catalog":
         """Parse a catalog file; ValueError unless it is one of this schema."""
-        doc = json.loads(text, parse_constant=_reject_constant)
         try:
+            doc = json.loads(text, parse_constant=_reject_constant)
             version = doc["schema_version"]
             if type(version) is not int or version != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {version!r}")
@@ -193,7 +193,7 @@ class Catalog(NamedTuple):
                 raise TypeError(f"params {params!r} is not an object")
             return cls(doc["catalog"], dict(params), tuple(
                 CatalogEntry.from_dict(d) for d in doc["entries"]))
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed catalog: {exc!r}") from exc
 
     def entry(self, code: str) -> CatalogEntry:
@@ -238,10 +238,11 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
 
 
 def resolve(entry: CatalogEntry, maps: dict):
-    """The flow an entry's token names: its ``MarkedMap``, or ``(map, None)``
-    for an unmarked token.  ValueError unless the token is sound, its mark
-    is legal on its map and the entry's ``mark`` field and cell counts are
-    its map's.  ``maps`` caches built maps for ``parse_token``."""
+    """The code an entry's token names and its flow: the ``MarkedMap``, or
+    ``(map, None)`` for an unmarked token.  ValueError unless the token is
+    sound, its mark is legal on its map and the entry's ``mark`` field and
+    cell counts are its map's.  ``maps`` caches built maps for
+    ``parse_token``."""
     code, m, dart = parse_token(entry.code, maps)
     mark = entry.mark
     # the mark is also spelled as a str kind and an int dart, not 0.0 or false
@@ -257,7 +258,7 @@ def resolve(entry: CatalogEntry, maps: dict):
             type(v) is int for v in (*counts[:3], *counts[3])):
         raise ValueError(
             f"entry counts {counts} do not match its code {entry.code!r}")
-    return (m, None) if dart is None else MarkedMap(
+    return code, (m, None) if dart is None else MarkedMap(
         m, MARK_CLASSES[code.mark[0]](dart))
 
 
@@ -479,16 +480,20 @@ def export_entries(entries, fmt: str) -> str:
 
     Every format first resolves each entry's code token and reads its
     ``paper_label`` against the label file, so an invalid token, a mark
-    that is illegal on its map or another label raises ValueError.  Tokens
-    of one map share its build and check, and the caches live for this
-    call only.
+    that is illegal on its map, another label or a code that does not come
+    after the previous entry's raises ValueError.  Tokens of one map share
+    its build and check, and the caches live for this call only.
     """
-    maps, labels, flows = {}, load_paper_labels(), []
+    maps, labels, flows, last = {}, load_paper_labels(), [], ()
     for e in entries:
-        flows.append(resolve(e, maps))
+        code, flow = resolve(e, maps)
+        flows.append(flow)
         if e.paper_label != labels.get(e.code):
             raise ValueError(f"entry paper_label {e.paper_label!r} is not "
                              f"{labels.get(e.code)!r}, the label of {e.code!r}")
+        if code.sort_key <= last:
+            raise ValueError(f"entry {e.code!r} is repeated or out of code order")
+        last = code.sort_key
     if fmt == "json":
         return json_text([e._asdict() for e in entries])
     if fmt == "dot":

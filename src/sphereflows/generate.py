@@ -11,18 +11,19 @@ Two strategies produce the identical catalog:
   spherical class appears ``2E / |Aut+|`` times among them.
 * ``grow`` -- the default, by canonical construction paths (McKay,
   "Isomorph-free exhaustive generation", 1998): maps with E edges are
-  built from one map per class with E-1 edges by joining two corners of a
-  common face, closing a loop in a corner or hanging a pendant edge in a
-  corner.  Children are spherical by construction.  An edge is removable
-  when it has two distinct side faces or is pendant; deleting it is undone
-  by one of these steps, and every map with at least two edges has one.  A
-  child is kept only if its new edge is its canonical removable edge, so
-  each class is reached from a single parent class.  An invariant of each
-  removable edge (sorted endpoint degrees, sorted side-face degrees), read
-  off the parent in O(E), rejects most children before the child is built;
-  the canonical-labeling kernel runs only on the rest, once each, and its
-  winning starts, one per automorphism, say whether the new edge is
-  canonical.
+  built from one map per class with E-1 edges by two moves, hanging a
+  pendant edge in a corner or joining two corners of a common face; a loop
+  is the join of a corner with itself.  Children are spherical by
+  construction.  An edge is removable when it has two distinct side faces
+  or is pendant; deleting it is undone by one of these moves, and every map
+  with at least two edges has one.  A child is kept only if its new edge is
+  its canonical removable edge, so each class is reached from a single
+  parent class.  An invariant of each removable edge (sorted endpoint
+  degrees, sorted side-face degrees), read off the parent's cells in O(E),
+  rejects a child at the first edge smaller than the new one, before the
+  child is built; the canonical-labeling kernel runs only on the rest, once
+  each, and its winning starts, one per automorphism, say whether the new
+  edge is canonical.
 
 The returned representatives are rebuilt from their canonical codes, so the
 output is byte-identical across strategies and run order.
@@ -90,38 +91,31 @@ def _brute(cfg: GenerationConfig):
 
 
 def _augmentations(m: CombinatorialMap):
-    """Every way to add one edge to the valid map ``m``, with its invariants.
+    """Every way to add one edge to the valid map ``m``, with its gate.
 
-    Yields ``(c1, c2, invariants)``.  The corner after dart ``c`` is the gap
+    Yields ``(c1, c2, tied)``.  The corner after dart ``c`` is the gap
     between ``c`` and ``sigma(c)`` at the source vertex of ``c``; it lies in
     the face of ``sigma(c)``.  The new edge hangs pendant in the corner
-    after ``c1`` when ``c2`` is None, is a loop in that corner when
-    ``c2 == c1``, and otherwise joins it to the corner after ``c2 > c1``,
-    another corner of the same face.  Every child is connected and
-    spherical again; joining corners of different faces would leave
-    ``V - E + F = 0`` and is never tried.  Swapping the two new darts gives
-    the same map, so a loop has one nesting and a join one order only.
+    after ``c1`` when ``c2`` is None, and otherwise joins it to the corner
+    after ``c2 >= c1`` of the same face, a loop when ``c2 == c1``.  Every
+    child is connected and spherical again; joining corners of different
+    faces would leave ``V - E + F = 0`` and is never tried.  Swapping the
+    two new darts gives the same map, so a join has one order only.
 
-    ``invariants`` lists the child's edges (darts ``2e`` and ``2e + 1``, the
-    new edge last), each as ``(least, greatest endpoint degree, least,
-    greatest side-face degree)`` if it is removable, that is has two
-    distinct side faces or an endpoint of degree 1, and as None if not.
-    They are read off the parent's vertex degrees and face cycles in O(E)
-    per child, before the child is built: a join splits the face at the
-    positions of ``sigma(c1)`` and ``sigma(c2)`` in its cycle, a pendant
-    edge adds 2 to the face and a loop adds 1 and makes a face of degree 1.
+    ``tied`` is :func:`_tied` of the child, read off the parent's cells in
+    O(E) before the child is built: a join splits the face at the positions
+    of ``sigma(c1)`` and ``sigma(c2)`` in its cycle, and a pendant edge adds
+    2 to the face.
     """
     n = m.n_darts
-    sigma = m.sigma
-    vertices, faces = m.vertex_orbits, m.face_orbits
-    vertex, degree, face, pos = [0] * n, [0] * n, [0] * n, [0] * n
-    for i, orbit in enumerate(vertices):
-        for d in orbit:
-            vertex[d], degree[d] = i, len(orbit)
-    for i, orbit in enumerate(faces):
-        for k, d in enumerate(orbit):
-            face[d], pos[d] = i, k
+    sigma, vertices, faces = m.sigma, m.vertex_orbits, m.face_orbits
+    vertex, face = m._vertex_index, m._face_index
+    degree = [len(vertices[v]) for v in vertex]
     size = [len(faces[f]) for f in face]
+    pos = [0] * n
+    for cycle in faces:
+        for k, d in enumerate(cycle):
+            pos[d] = k
     corners_of_face = [[] for _ in faces]
     for c in range(n):
         corners_of_face[face[sigma[c]]].append(c)
@@ -130,7 +124,6 @@ def _augmentations(m: CombinatorialMap):
         cycle = faces[f]
         length = len(cycle)
         around = vertices[vertex[c1]]
-        d1 = degree[c1]
         # pendant edge in the corner after c1
         deg = degree[:]
         for d in around:
@@ -138,18 +131,11 @@ def _augmentations(m: CombinatorialMap):
         sz = size[:]
         for d in cycle:
             sz[d] = length + 2
-        yield c1, None, _edge_invariants(
-            deg, face, sz, (1, d1 + 1, length + 2, length + 2))
-        # loop in the corner after c1: its vertex gains a second end
-        for d in around:
-            deg[d] += 1
-        for d in cycle:
-            sz[d] = length + 1
-        yield c1, c1, _edge_invariants(
-            deg, face, sz, (d1 + 2, d1 + 2, 1, length + 1))
+        yield c1, None, _tied(deg, face, sz,
+                              (1, degree[c1] + 1, length + 2, length + 2))
         p1 = pos[sigma[c1]]
         for c2 in corners_of_face[f]:
-            if c2 <= c1:
+            if c2 < c1:
                 continue
             deg = degree[:]
             for d in around:
@@ -159,7 +145,7 @@ def _augmentations(m: CombinatorialMap):
             # the darts at positions p1 .. p2 - 1 of the cycle go to the new
             # face of y, the others stay with x
             k = (pos[sigma[c2]] - p1) % length
-            side, sz = face[:], size[:]
+            side, sz = list(face), size[:]
             for i in range(length):
                 d = cycle[(p1 + i) % length]
                 if i < k:
@@ -168,14 +154,21 @@ def _augmentations(m: CombinatorialMap):
                     sz[d] = length - k + 1
             a, b = sorted((deg[c1], deg[c2]))
             fa, fb = sorted((k + 1, length - k + 1))
-            yield c1, c2, _edge_invariants(deg, side, sz, (a, b, fa, fb))
+            yield c1, c2, _tied(deg, side, sz, (a, b, fa, fb))
 
 
-def _edge_invariants(deg, side, size, new):
-    """Invariants of the parent's edges in a child, then ``new`` (see
-    :func:`_augmentations`); ``deg``, ``side`` and ``size`` give per parent
-    dart the child's vertex degree, face identity and face degree."""
-    out = []
+def _tied(deg, side, size, new):
+    """None at the first removable parent edge whose invariant in the child
+    is smaller than ``new``, the new edge's; else the first darts of the
+    edges whose invariant equals it, the new edge's ``n`` last.
+
+    An edge is removable when it has two distinct side faces or an endpoint
+    of degree 1; its invariant is ``(least, greatest endpoint degree,
+    least, greatest side-face degree)``.  ``deg``, ``side`` and ``size``
+    give per parent dart the child's vertex degree, face identity and face
+    degree.
+    """
+    tied = []
     for d in range(0, len(deg), 2):
         a, b = deg[d], deg[d + 1]
         if side[d] != side[d + 1] or a == 1 or b == 1:
@@ -184,49 +177,39 @@ def _edge_invariants(deg, side, size, new):
                 a, b = b, a
             if sa > sb:
                 sa, sb = sb, sa
-            out.append((a, b, sa, sb))
-        else:
-            out.append(None)
-    out.append(new)
-    return out
+            inv = (a, b, sa, sb)
+            if inv < new:
+                return None
+            if inv == new:
+                tied.append(d)
+    tied.append(len(deg))
+    return tied
 
 
 def _child_sigma(sigma, c1: int, c2):
     """The rotation of the child ``(c1, c2)`` of :func:`_augmentations`.
 
-    The new darts are ``x = n`` after ``c1`` and its partner ``y = n + 1``:
-    a leaf, after ``x`` (a loop), or after ``c2``.
+    The new darts are ``x = n`` after ``c1`` and its partner ``y = n + 1``,
+    a leaf or after ``c2``; for ``c2 == c1`` that reads ``c1, x, y``.
     """
     n = len(sigma)
-    s = list(sigma)
-    if c2 is None:
-        s += (sigma[c1], n + 1)
-        s[c1] = n
-    elif c2 == c1:
-        s += (n + 1, sigma[c1])
-        s[c1] = n
-    else:
-        s += (sigma[c1], sigma[c2])
-        s[c1], s[c2] = n, n + 1
+    s = [*sigma, 0, n + 1]
+    if c2 is not None:
+        s[n + 1], s[c2] = s[c2], n + 1
+    s[n], s[c1] = s[c1], n
     return s
 
 
-def _accepted_code(parent: CombinatorialMap, c1: int, c2, invariants,
+def _accepted_code(parent: CombinatorialMap, c1: int, c2, tied,
                    allow_reflection: bool):
     """The child's canonical code if its new edge is canonical, else None.
 
-    The new edge (darts ``n`` and ``n + 1``) is canonical when no removable
-    edge has a smaller invariant and an automorphism of the child takes it
-    to the edge with the least canonical label among those tied with it,
-    that is when some winning start of the kernel gives it the least label
-    of the tied edges.  The first test needs only the invariants; the
-    second runs the kernel once.
+    The new edge (darts ``n`` and ``n + 1``) passed :func:`_tied`, so no
+    removable edge has a smaller invariant.  It is canonical when an
+    automorphism of the child takes it to the least labeled of the ``tied``
+    edges, that is when some winning start of the kernel gives it the least
+    label among them.  The kernel runs once.
     """
-    new = invariants[-1]
-    for inv in invariants:
-        if inv is not None and inv < new:
-            return None
-    tied = [2 * e for e, inv in enumerate(invariants) if inv == new]
     n = parent.n_darts
     code, winners = canonical_code_for(_child_sigma(parent.sigma, c1, c2),
                                        normal_alpha(n // 2 + 1),
@@ -247,10 +230,11 @@ def _grow(parents, allow_reflection: bool):
     """
     codes = set()
     for parent in parents:
-        for c1, c2, invariants in _augmentations(parent):
-            code = _accepted_code(parent, c1, c2, invariants, allow_reflection)
-            if code is not None:
-                codes.add(code)
+        for c1, c2, tied in _augmentations(parent):
+            if tied is not None:
+                code = _accepted_code(parent, c1, c2, tied, allow_reflection)
+                if code is not None:
+                    codes.add(code)
     return codes
 
 

@@ -211,24 +211,20 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
             ("saddle", ("edge", min(p, m.alpha[p]))))
     skipped = {min(p, m.alpha[p]), min(a, m.alpha[a]), min(b, m.alpha[b])}
     points, arcs, point = _morse_skeleton(m, "vertex", t, skipped, pair)
-    vertex_point, face_point = point["vertex"], point["face"]
     # the pair follows the sources and the sinks
-    lower = len(vertex_point) + len(face_point)
+    lower = len(point["vertex"]) + len(point["face"])
     upper = lower + 1
     # the lower saddle: stable manifold is the collinear pair, one unstable
     # separatrix is the connection, the other falls into the face of the
-    # corner between the collinear darts
-    for d in (a, b):
-        far = m.alpha[d]
-        arcs.append(Separatrix(vertex_point[m.vertex_of(far)], lower, far))
-    arcs.append(Separatrix(lower, upper, p))
-    arcs.append(Separatrix(lower, face_point[m.face_of(m.alpha[a])], m.alpha[a]))
-    # the upper saddle: second stable separatrix from the far endpoint of
-    # the perpendicular edge, unstable pair into the faces on its sides
+    # corner between the collinear darts; the upper saddle: second stable
+    # separatrix from the far endpoint of the perpendicular edge, unstable
+    # pair into the faces on its sides
     far = m.alpha[p]
-    arcs.append(Separatrix(vertex_point[m.vertex_of(far)], upper, far))
-    arcs.append(Separatrix(upper, face_point[m.face_of(p)], p))
-    arcs.append(Separatrix(upper, face_point[m.face_of(far)], far))
+    (in_a, out_a), (in_b, _), (in_far, out_far) = (
+        _dart_arcs(m, point, "vertex", s, d)
+        for s, d in ((lower, m.alpha[a]), (lower, m.alpha[b]), (upper, far)))
+    arcs += (in_a, in_b, Separatrix(lower, upper, p), out_a, in_far,
+             Separatrix(upper, point["face"][m.face_of(p)], p), out_far)
     return SeparatrixDiagram(tuple(points), tuple(arcs), (lower, upper))
 
 

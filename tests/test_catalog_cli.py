@@ -77,7 +77,7 @@ class TestCatalog:
 
     def test_marked_summary_matches_realize(self, bifs2):
         for e in bifs2.entries:
-            mm = resolve(e, {})
+            mm = resolve(e, {})[1]
             assert realize(mm).point_counts() == e.singular_points
             assert e.mark["kind"] == mm.mark.kind
 
@@ -158,13 +158,13 @@ class TestExports:
     def test_dot_of_chain(self, named):
         catalog = build_map_catalog(GenerationConfig(2))
         entry = catalog.entry(named["chain2"].canonical_code().token())
-        dot = entry_to_dot(entry, resolve(entry, {}))
+        dot = entry_to_dot(entry, resolve(entry, {})[1])
         assert dot.count(" -- ") == 2
         assert dot.count("[degree=") == 3
 
     def test_dot_marks_annotated(self, bifs2):
         marked = [e for e in bifs2.entries if e.mark["kind"] == "source"]
-        dot = entry_to_dot(marked[0], resolve(marked[0], {}))
+        dot = entry_to_dot(marked[0], resolve(marked[0], {})[1])
         assert 'mark="source endpoint' in dot
 
     def test_diagram_json_lists_three_points(self, named):
@@ -536,20 +536,41 @@ MISTYPED_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("damage", list(MISTYPED_FIELDS))
+# entries listed other than once each in increasing code order: the first
+# one twice, or the first two swapped
+DISORDERED = {
+    "repeated-entry": lambda entries: entries[:1] + entries,
+    "swapped-entries": lambda entries: entries[1::-1] + entries[2:],
+}
+
+
+@pytest.mark.parametrize("damage",
+                         [*MISTYPED_FIELDS, *DISORDERED, "deeply-nested"])
 def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
-    key, value = MISTYPED_FIELDS[damage]
     doc = json.loads(bifs2.dumps())
     entry = doc["entries"][0]
     assert (entry["code"], entry["paper_label"]) == (
         "E:2;s:0,2,1,3;a:1,0,3,2;m:source,0", "Fig3:3")
-    holder = doc if key == "params" else (
-        entry["singular_points"] if key == "saddle" else entry)
-    holder[key] = value
     catalog_path = tmp_path / "mistyped.json"
-    catalog_path.write_text(json.dumps(doc))
-    prefix = ("error: entry paper_label " if key == "paper_label"
-              else f"error: cannot read catalog {catalog_path}: malformed catalog: ")
+    malformed = f"error: cannot read catalog {catalog_path}: malformed catalog: "
+    if damage == "deeply-nested":
+        # deeper than json.loads recurses; at 900 levels it parses, and the
+        # list is then rejected as not a catalog
+        text, prefix = "[" * 1000 + "]" * 1000, malformed + "RecursionError("
+    elif damage in DISORDERED:
+        doc["entries"] = DISORDERED[damage](doc["entries"])
+        text = json.dumps(doc)
+        prefix = (f"error: entry {doc['entries'][1]['code']!r} is repeated "
+                  "or out of code order")
+    else:
+        key, value = MISTYPED_FIELDS[damage]
+        holder = doc if key == "params" else (
+            entry["singular_points"] if key == "saddle" else entry)
+        holder[key] = value
+        text = json.dumps(doc)
+        prefix = ("error: entry paper_label " if key == "paper_label"
+                  else malformed)
+    catalog_path.write_text(text)
     for fmt in ("json", "dot", "diagram-json"):
         res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
         assert res.returncode == 2, fmt
@@ -656,13 +677,13 @@ def fresh_diagram(dia):
     *(("saddle-connection", n) for n in range(2, PAPER_MAX_SADDLES + 1))])
 def test_diagram_json_shares_records_and_keeps_stdlib_bytes(kind, n, reflect):
     entries = build_bifurcation_catalog(kind, n, reflect).entries
-    fresh = [{"code": e.code, "diagram": fresh_diagram(realize(resolve(e, {})))}
+    fresh = [{"code": e.code, "diagram": fresh_diagram(realize(resolve(e, {})[1]))}
              for e in entries]
     assert export_entries(entries, "diagram-json") == stdlib_text(fresh)
     # equal points and equal arcs are one dict; the two one-saddle
     # diagrams have none in common
     records = {}
-    docs = [diagram_to_dict(resolve(e, {}), records) for e in entries]
+    docs = [diagram_to_dict(resolve(e, {})[1], records) for e in entries]
     for field in ("points", "separatrices"):
         dicts = [r for d in docs for r in d[field]]
         distinct = {json.dumps(r, sort_keys=True) for r in dicts}

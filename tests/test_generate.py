@@ -104,12 +104,12 @@ def test_parallel_runs_match_serial(monkeypatch):
 # -- canonical construction paths
 
 def children(e, reflection):
-    """``(parent, c1, c2, invariants, child)`` for every child of every map
-    with ``e`` edges."""
+    """``(parent, c1, c2, tied, child)`` for every child of every map with
+    ``e`` edges."""
     for m in generate_maps(GenerationConfig(e, reflection)):
-        for c1, c2, invariants in gen._augmentations(m):
+        for c1, c2, tied in gen._augmentations(m):
             child = CombinatorialMap(gen._child_sigma(m.sigma, c1, c2))
-            yield m, c1, c2, invariants, child
+            yield m, c1, c2, tied, child
 
 
 def invariants_from_orbits(child):
@@ -124,6 +124,17 @@ def invariants_from_orbits(child):
         removable = child.face_of(d) != child.face_of(d + 1) or a == 1
         out.append((a, b, fa, fb) if removable else None)
     return out
+
+
+def tied_from_orbits(child):
+    """The gate's value for the last edge of ``child``, read off its orbits:
+    None if a removable edge has a smaller invariant, else the first darts
+    of the edges tied with it, the last edge's last."""
+    invariants = invariants_from_orbits(child)
+    new = invariants[-1]
+    if any(inv is not None and inv < new for inv in invariants):
+        return None
+    return [2 * e for e, inv in enumerate(invariants) if inv == new]
 
 
 def full_rule_accepts(child, allow_reflection):
@@ -148,19 +159,19 @@ def full_rule_accepts(child, allow_reflection):
 @pytest.mark.parametrize("reflection", [True, False])
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_gate_invariants_match_child_orbits(e, reflection):
-    for m, c1, c2, invariants, child in children(e, reflection):
-        assert invariants == invariants_from_orbits(child), (m, c1, c2)
+    for m, c1, c2, tied, child in children(e, reflection):
+        assert tied == tied_from_orbits(child), (m, c1, c2)
 
 
 @pytest.mark.parametrize("reflection", [True, False])
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
 def test_gate_and_accept_match_the_full_rule(e, reflection):
     accepted = set()
-    for m, c1, c2, invariants, child in children(e, reflection):
+    for m, c1, c2, tied, child in children(e, reflection):
         full = full_rule_accepts(child, reflection)
-        gate = all(inv is None or inv >= invariants[-1] for inv in invariants)
+        gate = tied is not None
         assert gate or not full, (m, c1, c2)
-        code = gen._accepted_code(m, c1, c2, invariants, reflection)
+        code = gen._accepted_code(m, c1, c2, tied, reflection) if gate else None
         assert (code is not None) == full, (m, c1, c2)
         if code is not None:
             assert code == child.canonical_code(allow_reflection=reflection)
@@ -170,6 +181,27 @@ def test_gate_and_accept_match_the_full_rule(e, reflection):
              else generate_maps(GenerationConfig(e + 1, reflection)))
     assert sorted(accepted) == [m.canonical_code(allow_reflection=reflection)
                                 for m in grown]
+
+
+@pytest.mark.parametrize("reflection,up_to_five,six",
+                         [(True, 561, 2184), (False, 606, 2736)])
+def test_grow_kernel_runs_are_bounded(monkeypatch, reflection, up_to_five, six):
+    # the kernel runs once per child that passes the gate, so a gate that
+    # lets a child with a smaller removable edge through raises these counts
+    runs = [0]
+    kernel = gen.canonical_code_for
+
+    def counted(*args):
+        runs[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(gen, "canonical_code_for", counted)
+    monkeypatch.setattr(gen, "_cache", {})
+    parents = generate_maps(GenerationConfig(5, reflection))
+    assert runs[0] <= up_to_five
+    runs[0] = 0
+    gen._grow(parents, reflection)
+    assert runs[0] <= six
 
 
 @cache
