@@ -10,7 +10,9 @@ encodes a graph embedded in the 2-sphere up to orientation-preserving
 homeomorphism.  The constructor is the one place this is checked, so
 every ``CombinatorialMap`` is valid by construction, and the check computes
 the map's cells once: it keeps the vertex and face cycles it counts and
-each dart's vertex and face, which every cell accessor reads.
+each dart's vertex and face, which every cell accessor reads.  The
+constructor alone reads a caller's ``alpha``: it relabels the darts to pair
+normal form ``(0 1)(2 3)...``; past it the partner of dart ``d`` is ``d ^ 1``.
 
 Identification up to *all* homeomorphisms (the default everywhere in this
 package) additionally quotients by orientation reversal, which on rotation
@@ -87,43 +89,43 @@ def _is_permutation(p) -> bool:
     return True
 
 
-def _is_transitive(sigma, alpha) -> bool:
-    n = len(sigma)
-    seen = bytearray(n)
-    stack = [0]
-    seen[0] = 1
-    count = 1
+def reached(sigma, start: int, seen: set) -> set:
+    """``seen`` with every dart reached from ``start`` along ``sigma`` and
+    the partner ``d ^ 1``, never entering a dart already in ``seen``."""
+    seen.add(start)
+    stack = [start]
     while stack:
         d = stack.pop()
-        for x in (sigma[d], alpha[d]):
-            if not seen[x]:
-                seen[x] = 1
-                count += 1
+        for x in (sigma[d], d ^ 1):
+            if x not in seen:
+                seen.add(x)
                 stack.append(x)
-    return count == n
+    return seen
 
 
-def _sphere_cells(sigma, alpha):
-    """``(failures, vertex cycles, face cycles)`` of a rotation system: the
-    cycles of ``sigma`` and ``sigma∘alpha`` by :func:`perm_orbits`, and which
-    of "NotConnected" and "NotSpherical" the system violates."""
+def _sphere_cells(sigma):
+    """``(failures, vertex cycles, face cycles)`` of a pair-normal rotation
+    system: the cycles of ``sigma`` and ``sigma∘alpha`` by
+    :func:`perm_orbits`, and which of "NotConnected" and "NotSpherical" the
+    system violates."""
     vertices = perm_orbits(sigma)
-    faces = perm_orbits([sigma[a] for a in alpha])
-    failures = [] if _is_transitive(sigma, alpha) else ["NotConnected"]
+    faces = perm_orbits([sigma[d ^ 1] for d in range(len(sigma))])
+    failures = ([] if len(reached(sigma, 0, set())) == len(sigma)
+                else ["NotConnected"])
     if len(vertices) - len(sigma) // 2 + len(faces) != 2:
         failures.append("NotSpherical")
     return failures, vertices, faces
 
 
-def sphere_failures(sigma, alpha) -> list:
+def sphere_failures(sigma) -> list:
     """Which of "NotConnected" and "NotSpherical" the rotation system violates.
 
-    Spherical means Euler's formula ``V - E + F = 2`` with ``E = n / 2``,
-    ``V`` the number of orbits of ``sigma`` and ``F`` that of
-    ``sigma∘alpha``.  With a fixed-point-free involution ``alpha``, an
-    empty list means a valid map.
+    ``sigma`` is in pair normal form: the partner of dart ``d`` is
+    ``d ^ 1``.  Spherical means Euler's formula ``V - E + F = 2`` with
+    ``E = n / 2``, ``V`` the number of orbits of ``sigma`` and ``F`` that of
+    ``sigma∘alpha``.  An empty list means a valid map.
     """
-    return _sphere_cells(sigma, alpha)[0]
+    return _sphere_cells(sigma)[0]
 
 
 class MapMark:
@@ -167,7 +169,7 @@ class MapMark:
         if why is not None:
             raise InvalidMarkError(why)
 
-    def trace_value(self, labels, alpha, reflected: bool) -> int:
+    def trace_value(self, labels, reflected: bool) -> int:
         return labels[self._dart]
 
 
@@ -229,7 +231,7 @@ class CanonicalCode(NamedTuple):
         return CombinatorialMap(self.sigma_images, self.alpha_images)
 
 
-def _least_trace(sigma, alpha, allow_reflection: bool = True):
+def _least_trace(sigma, allow_reflection: bool = True):
     """The least BFS relabeling trace of a connected map, and who attains it.
 
     From a start dart, darts are labeled in first-visit order of a
@@ -275,7 +277,7 @@ def _least_trace(sigma, alpha, allow_reflection: bool = True):
                     trace = best[:k]
                     trace.append(v)
                 k += 1
-                x = alpha[d]
+                x = d ^ 1
                 v = labels[x]
                 if v < 0:
                     v = labels[x] = len(order)
@@ -299,9 +301,9 @@ def _least_trace(sigma, alpha, allow_reflection: bool = True):
     return tuple(best), winners
 
 
-def canonical_code_for(sigma, alpha, allow_reflection: bool):
-    """Unmarked canonical code of a connected map given by raw permutations,
-    and the starts that attain it.
+def canonical_code_for(sigma, allow_reflection: bool):
+    """Unmarked canonical code of a connected map given by its pair-normal
+    rotation ``sigma``, and the starts that attain it.
 
     This is the one entry into the kernel :func:`_least_trace`.  Returns
     ``(code, winners)``: the least BFS relabeling trace over all start darts
@@ -310,7 +312,7 @@ def canonical_code_for(sigma, alpha, allow_reflection: bool):
     that attains it, one per automorphism.  A mark's code and grow's test
     of a new edge are read off the winners without another kernel run.
     """
-    trace, winners = _least_trace(sigma, alpha, allow_reflection)
+    trace, winners = _least_trace(sigma, allow_reflection)
     return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
 
 
@@ -438,7 +440,7 @@ class CombinatorialMap:
         Raise ValueError naming the failures unless the map is connected
         and spherical; the constructor runs it once."""
         failures, self.vertex_orbits, self.face_orbits = _sphere_cells(
-            self._sigma, self._alpha)
+            self._sigma)
         if failures:
             raise ValueError(f"invalid map: {', '.join(failures)}")
         self._vertex_index = _orbit_index(self.vertex_orbits, self.n_darts)
@@ -462,11 +464,11 @@ class CombinatorialMap:
 
     def is_loop(self, d: int) -> bool:
         """Whether the dart's edge has both ends at the same vertex."""
-        return self._vertex_index[d] == self._vertex_index[self._alpha[d]]
+        return self._vertex_index[d] == self._vertex_index[d ^ 1]
 
     def is_bridge(self, d: int) -> bool:
         """Whether the dart's edge has the same face on both sides."""
-        return self._face_index[d] == self._face_index[self._alpha[d]]
+        return self._face_index[d] == self._face_index[d ^ 1]
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted((len(o) for o in self.vertex_orbits), reverse=True))
@@ -480,8 +482,7 @@ class CombinatorialMap:
         involution on encodings, and dart ids are stable, so marks transport
         by keeping their dart.
         """
-        return CombinatorialMap((self._sigma[a] for a in self._alpha),
-                                self._alpha)
+        return CombinatorialMap(self._sigma[d ^ 1] for d in range(self.n_darts))
 
     # -- identification
 
@@ -496,24 +497,23 @@ class CombinatorialMap:
         least = self._least.get(allow_reflection)
         if least is None:
             least = self._least[allow_reflection] = canonical_code_for(
-                self._sigma, self._alpha, allow_reflection)
+                self._sigma, allow_reflection)
         code, winners = least
         if mark is None:
             return code
         # every winner attains the least trace, so the least mark value over
         # them completes the least trace-and-mark over all starts
-        value = min(mark.trace_value(labels, self._alpha, reflected)
+        value = min(mark.trace_value(labels, reflected)
                     for reflected, labels in winners)
         return CanonicalCode(*code[:3], (mark.kind, value))
 
     # -- dunder
 
     def __eq__(self, other):
-        return (isinstance(other, CombinatorialMap)
-                and self._sigma == other._sigma and self._alpha == other._alpha)
+        return isinstance(other, CombinatorialMap) and self._sigma == other._sigma
 
     def __hash__(self):
-        return hash((self._sigma, self._alpha))
+        return hash(self._sigma)
 
     def __repr__(self):
         cycles = "".join("(" + " ".join(map(str, orb)) + ")"

@@ -34,8 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import attrgetter
 
-from .combmap import (CombinatorialMap, canonical_code_for, normal_alpha,
-                      sphere_failures)
+from .combmap import CombinatorialMap, canonical_code_for, sphere_failures
 
 MIN_EDGES = 1
 MAX_EDGES = 5
@@ -84,10 +83,9 @@ def _rooted_rotations(n_edges: int):
 
 
 def _brute(cfg: GenerationConfig):
-    alpha = normal_alpha(cfg.n_edges)
-    return {canonical_code_for(sigma, alpha, cfg.allow_reflection)[0]
+    return {canonical_code_for(sigma, cfg.allow_reflection)[0]
             for sigma in _rooted_rotations(cfg.n_edges)
-            if not sphere_failures(sigma, alpha)}
+            if not sphere_failures(sigma)}
 
 
 def _augmentations(m: CombinatorialMap):
@@ -123,23 +121,21 @@ def _augmentations(m: CombinatorialMap):
         f = face[sigma[c1]]
         cycle = faces[f]
         length = len(cycle)
-        around = vertices[vertex[c1]]
+        # every child raises the degree at c1's vertex
+        raised = degree[:]
+        for d in vertices[vertex[c1]]:
+            raised[d] += 1
         # pendant edge in the corner after c1
-        deg = degree[:]
-        for d in around:
-            deg[d] += 1
         sz = size[:]
         for d in cycle:
             sz[d] = length + 2
-        yield c1, None, _tied(deg, face, sz,
-                              (1, degree[c1] + 1, length + 2, length + 2))
+        yield c1, None, _tied(raised, face, sz,
+                              (1, raised[c1], length + 2, length + 2))
         p1 = pos[sigma[c1]]
         for c2 in corners_of_face[f]:
             if c2 < c1:
                 continue
-            deg = degree[:]
-            for d in around:
-                deg[d] += 1
+            deg = raised[:]
             for d in vertices[vertex[c2]]:
                 deg[d] += 1
             # the darts at positions p1 .. p2 - 1 of the cycle go to the new
@@ -212,7 +208,6 @@ def _accepted_code(parent: CombinatorialMap, c1: int, c2, tied,
     """
     n = parent.n_darts
     code, winners = canonical_code_for(_child_sigma(parent.sigma, c1, c2),
-                                       normal_alpha(n // 2 + 1),
                                        allow_reflection)
     for _, labels in winners:
         if min(tied, key=lambda d: min(labels[d], labels[d + 1])) == n:

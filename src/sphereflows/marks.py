@@ -15,7 +15,7 @@ Each kind states once, in ``why_illegal(m, d)``, where it may sit.
 
 Under orientation reversal a dart keeps its edge and endpoint but its left
 and right faces swap, so a sink mark transports to the partner dart
-``alpha(d)`` when the reversed rotation is traced.  Source and T marks
+``d ^ 1`` when the reversed rotation is traced.  Source and T marks
 transport unchanged.  This convention is what makes duality carry sink-mark
 classes bijectively onto source-mark classes of the dual map.
 """
@@ -26,7 +26,8 @@ from collections import namedtuple
 from itertools import groupby
 from typing import NamedTuple
 
-from .combmap import CombinatorialMap, InvalidMarkError, MapMark, parse_token
+from .combmap import (CombinatorialMap, InvalidMarkError, MapMark, parse_token,
+                      reached)
 from .generate import MAX_EDGES, GenerationConfig, generate_maps
 
 T_MIN_SADDLES = 2
@@ -66,10 +67,10 @@ class SinkMark(MapMark):
         if m.is_bridge(d):
             return "a sink mark needs an edge bordering two distinct faces"
 
-    def trace_value(self, labels, alpha, reflected):
-        # reversal swaps the sides of the edge; alpha(d) designates the same
-        # geometric face in the mirrored rotation system
-        return labels[alpha[self.dart]] if reflected else labels[self.dart]
+    def trace_value(self, labels, reflected):
+        # reversal swaps the sides of the edge; the partner d ^ 1 designates
+        # the same geometric face in the mirrored rotation system
+        return labels[self.dart ^ 1] if reflected else labels[self.dart]
 
 
 class TMark(MapMark):
@@ -88,7 +89,6 @@ class TMark(MapMark):
             return "a T-vertex must have no incident loop"
 
 
-Mark = SourceMark | SinkMark | TMark
 MARK_CLASSES = {c.kind: c for c in (SourceMark, SinkMark, TMark)}
 
 
@@ -97,7 +97,7 @@ class MarkedMap(namedtuple("MarkedMap", "map mark")):
 
     __slots__ = ()
 
-    def __new__(cls, map: CombinatorialMap, mark: Mark):
+    def __new__(cls, map: CombinatorialMap, mark: MapMark):
         mark.validate_on(map)
         return super().__new__(cls, map, mark)
 
@@ -288,14 +288,7 @@ def t_connection_category(mm: MarkedMap) -> str:
     if mm.mark.kind != "t":
         raise InvalidMarkError("category applies to saddle-connection marks")
     m, p = mm.map, mm.mark.dart
-    seen = {p, m.alpha[p]}
-    stack = [m.alpha[p]]
-    while stack:
-        d = stack.pop()
-        for x in (m.sigma[d], m.alpha[d]):
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
+    seen = reached(m.sigma, p ^ 1, {p})
     far_edges = len(seen) // 2 - 1
     if far_edges == 0 or m.sigma[p] in seen or m.sigma[m.sigma[p]] in seen:
         return CONNECTED_AFTER_CUT

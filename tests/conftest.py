@@ -25,7 +25,7 @@ def build_named_maps():
     }
     maps["theta"] = maps["triangle"].dual()
     for name, m in maps.items():
-        assert not sphere_failures(m.sigma, m.alpha), name
+        assert not sphere_failures(m.sigma), name
     return maps
 
 

@@ -268,7 +268,7 @@ def test_criterion_6_every_enumerated_object():
     violations = []
     for e in range(1, 6):
         for m in generate_maps(GenerationConfig(e)):
-            if sphere_failures(m.sigma, m.alpha):
+            if sphere_failures(m.sigma):
                 violations.append(f"map {m!r}")
             if m.dual().dual().canonical_code() != m.canonical_code():
                 violations.append(f"dual involution {m!r}")

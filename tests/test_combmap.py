@@ -34,13 +34,21 @@ class TestValidation:
         assert (m.n_vertices, m.n_faces) == (1, 2)
 
     def test_two_disjoint_segments_not_connected(self):
-        assert "NotConnected" in sphere_failures((0, 1, 2, 3), (1, 0, 3, 2))
+        assert "NotConnected" in sphere_failures((0, 1, 2, 3))
         with pytest.raises(ValueError, match="NotConnected"):
             CombinatorialMap((0, 1, 2, 3), (1, 0, 3, 2))
 
+    def test_segment_beside_torus_fails_only_connectivity(self):
+        # a segment and a one-vertex torus of two interleaved loops:
+        # V - E + F = 3 - 3 + 2 = 2, so only the reachability walk rejects it
+        sigma = (0, 1, 4, 5, 3, 2)
+        assert sphere_failures(sigma) == ["NotConnected"]
+        with pytest.raises(ValueError, match="^invalid map: NotConnected$"):
+            CombinatorialMap(sigma)
+
     def test_interleaved_loops_not_spherical(self):
         # two loops at one vertex with alternating rotation close up a torus
-        assert sphere_failures((2, 3, 1, 0), (1, 0, 3, 2)) == ["NotSpherical"]
+        assert sphere_failures((2, 3, 1, 0)) == ["NotSpherical"]
         with pytest.raises(ValueError, match="NotSpherical"):
             CombinatorialMap((2, 3, 1, 0), (1, 0, 3, 2))
 
@@ -177,7 +185,7 @@ class TestLeastTraceKernel:
         for m in with_scrambled_copies(maps, seed=e):
             traces = all_traces(m, reflection)
             least = min(t for t, _, _ in traces)
-            trace, winners = _least_trace(m.sigma, m.alpha, reflection)
+            trace, winners = _least_trace(m.sigma, reflection)
             assert trace == least
             expected = sorted((r, labels) for t, r, labels in traces
                               if t == least)
@@ -193,7 +201,7 @@ class TestLeastTraceKernel:
         for m in with_scrambled_copies(maps, seed=10 + e):
             traces = all_traces(m, reflection)
             for mark in mark_candidates(m):
-                best = min(t + (mark.trace_value(labels, m.alpha, r),)
+                best = min(t + (mark.trace_value(labels, r),)
                            for t, r, labels in traces)
                 expected = CanonicalCode(e, best[:-1:2], best[1:-1:2],
                                          (mark.kind, best[-1]))
@@ -224,7 +232,7 @@ class TestLeastTraceKernel:
 
     def test_disconnected_map_has_no_code(self):
         with pytest.raises(ValueError):
-            canonical_code_for((0, 1, 2, 3), (1, 0, 3, 2), True)
+            canonical_code_for((0, 1, 2, 3), True)
 
 
 class TestCanonicalCode:

@@ -39,9 +39,8 @@ def test_brute_enumerates_each_rooted_map_once(e):
     # the counts are closed forms, so no canonical code is involved
     rotations = list(gen._rooted_rotations(e))
     assert len(rotations) == len(set(rotations)) == rooted_any_genus(e)
-    alpha = normal_alpha(e)
     assert all(sorted(sigma) == list(range(2 * e)) for sigma in rotations)
-    spherical = [s for s in rotations if not sphere_failures(s, alpha)]
+    spherical = [s for s in rotations if not sphere_failures(s)]
     assert len(spherical) == tutte_rooted(e)
 
 
@@ -70,7 +69,7 @@ def test_random_witnesses_hit_exactly_one_class(e):
     for _ in range(1000):
         sigma = darts[:]
         rng.shuffle(sigma)
-        failures = sphere_failures(sigma, alpha)
+        failures = sphere_failures(sigma)
         if failures:
             with pytest.raises(ValueError, match=failures[0]):
                 CombinatorialMap(sigma, alpha)
@@ -87,7 +86,7 @@ def test_every_child_is_valid(e, reflection):
     for m in generate_maps(GenerationConfig(e, reflection)):
         for c1, c2, _ in gen._augmentations(m):
             sigma = gen._child_sigma(m.sigma, c1, c2)
-            assert not sphere_failures(sigma, normal_alpha(e + 1)), (m, sigma)
+            assert not sphere_failures(sigma), (m, sigma)
 
 
 def test_parallel_runs_match_serial(monkeypatch):

@@ -26,7 +26,7 @@ def catalog(e, reflection=True):
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
 def test_every_generated_map_is_valid(e):
     for m in catalog(e):
-        assert not sphere_failures(m.sigma, m.alpha)
+        assert not sphere_failures(m.sigma)
         assert all(m.alpha[m.alpha[d]] == d and m.alpha[d] != d
                    for d in range(m.n_darts))
         assert m.n_vertices - m.n_edges + m.n_faces == 2
@@ -144,7 +144,7 @@ def test_marked_code_transports_through_relabeling(case):
 @settings(max_examples=60, deadline=None)
 def test_random_rotation_system_lands_in_the_catalog(e, data):
     sigma = data.draw(st.permutations(range(2 * e)))
-    failures = sphere_failures(sigma, normal_alpha(e))
+    failures = sphere_failures(sigma)
     if failures:
         assert set(failures) <= {"NotConnected", "NotSpherical"}
         with pytest.raises(ValueError, match=", ".join(failures)):

@@ -1,0 +1,55 @@
+"""Static checks on the package's own source files, by the stdlib's ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sphereflows
+
+SOURCES = sorted(Path(sphereflows.__file__).parent.glob("*.py"))
+
+
+def _imported(tree) -> dict:
+    """Each name a module-level or nested import binds, with its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _read(tree) -> set:
+    """Names the module reads: loaded names, names inside string
+    annotations, and the entries of ``__all__``."""
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.FunctionDef):
+            annotations.append(node.returns)
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            read |= _read(ast.parse(note.value, mode="eval"))
+    return read
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _read(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported(tree).items() if name not in read]
+    assert unused == []
