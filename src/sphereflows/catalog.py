@@ -443,14 +443,14 @@ def entry_to_dot(entry: CatalogEntry, flow) -> str:
     for e in range(m.n_edges):
         d = 2 * e
         attrs = f"edge={e}"
-        if mark_dart is not None and mark_dart in (d, m.alpha[d]):
+        if mark_dart is not None and mark_dart >> 1 == e:
             if mark_kind == "source":
                 attrs += f', mark="source endpoint=v{m.vertex_of(mark_dart)}"'
             elif mark_kind == "sink":
                 attrs += f', mark="sink face=f{m.face_of(mark_dart)}"'
             else:
                 attrs += f', mark="t perpendicular, vertex=v{m.vertex_of(mark_dart)}"'
-        lines.append(f"  v{m.vertex_of(d)} -- v{m.vertex_of(m.alpha[d])} [{attrs}];")
+        lines.append(f"  v{m.vertex_of(d)} -- v{m.vertex_of(d + 1)} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

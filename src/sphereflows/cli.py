@@ -32,6 +32,13 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad flag or argument exits 2 with one ``error:`` line."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _common_flags(sub):
     sub.add_argument("--no-reflections", action="store_true",
                      help="distinguish mirror images (default identifies them)")
@@ -42,7 +49,7 @@ def _common_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sphereflows",
         description="Catalogs of spherical maps and the codimension-1 "
                     "gradient flows they encode.")

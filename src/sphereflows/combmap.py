@@ -218,9 +218,6 @@ class CanonicalCode(NamedTuple):
         m = "-" if self.mark is None else f"{self.mark[0]},{self.mark[1]}"
         return f"E:{self.n_edges};s:{s};a:{a};m:{m}"
 
-    def __str__(self) -> str:
-        return self.token()
-
     @classmethod
     def from_token(cls, token: str) -> "CanonicalCode":
         """Parse a catalog key; ValueError unless its map and mark are sound."""
@@ -404,7 +401,7 @@ class CombinatorialMap:
         new_sigma = [0] * n
         for d in range(n):
             new_sigma[relabel[d]] = relabel[sigma[d]]
-        self._sigma, self._alpha = tuple(new_sigma), normal_alpha(n // 2)
+        self._sigma = tuple(new_sigma)
         self._relabel = tuple(relabel)
         self.validate()
         # per reflection mode: the unmarked code and the winning starts, from
@@ -417,10 +414,8 @@ class CombinatorialMap:
     def sigma(self) -> tuple:
         return self._sigma
 
-    @property
-    def alpha(self) -> tuple:
-        return self._alpha
-
+    alpha = property(lambda self: normal_alpha(self.n_edges),
+                     doc="The pair normal form: the partner of d is d ^ 1.")
     relabel = property(lambda self: self._relabel,
                        doc="relabel[d] is the dart that given dart d became.")
 

@@ -92,65 +92,51 @@ def _augmentations(m: CombinatorialMap):
     """Every way to add one edge to the valid map ``m``, with its gate.
 
     Yields ``(c1, c2, tied)``.  The corner after dart ``c`` is the gap
-    between ``c`` and ``sigma(c)`` at the source vertex of ``c``; it lies in
-    the face of ``sigma(c)``.  The new edge hangs pendant in the corner
-    after ``c1`` when ``c2`` is None, and otherwise joins it to the corner
-    after ``c2 >= c1`` of the same face, a loop when ``c2 == c1``.  Every
-    child is connected and spherical again; joining corners of different
-    faces would leave ``V - E + F = 0`` and is never tried.  Swapping the
+    between ``c`` and ``sigma(c)`` at its source vertex.  A face cycle has
+    ``cycle[p] = sigma(cycle[p - 1] ^ 1)``, so the corner before position
+    ``p`` is the one after ``cycle[p - 1] ^ 1``.  For positions ``p1 <= p2``
+    of a face and the corners ``c1``, ``c2`` before them, the new edge hangs
+    pendant in ``c1`` when ``c2`` is None and otherwise joins the two, a
+    loop when ``p1 == p2``.  Every child is connected and spherical; joining
+    corners of different faces would leave ``V - E + F = 0``.  Swapping the
     two new darts gives the same map, so a join has one order only.
 
     ``tied`` is :func:`_tied` of the child, read off the parent's cells in
-    O(E) before the child is built: a join splits the face at the positions
-    of ``sigma(c1)`` and ``sigma(c2)`` in its cycle, and a pendant edge adds
-    2 to the face.
+    O(E) before the child is built: a pendant edge adds 2 to the face, and
+    a join gives the darts at positions ``p1 .. p2 - 1`` a new face.
     """
-    n = m.n_darts
-    sigma, vertices, faces = m.sigma, m.vertex_orbits, m.face_orbits
+    vertices, faces = m.vertex_orbits, m.face_orbits
     vertex, face = m._vertex_index, m._face_index
     degree = [len(vertices[v]) for v in vertex]
     size = [len(faces[f]) for f in face]
-    pos = [0] * n
     for cycle in faces:
-        for k, d in enumerate(cycle):
-            pos[d] = k
-    corners_of_face = [[] for _ in faces]
-    for c in range(n):
-        corners_of_face[face[sigma[c]]].append(c)
-    for c1 in range(n):
-        f = face[sigma[c1]]
-        cycle = faces[f]
         length = len(cycle)
-        # every child raises the degree at c1's vertex
-        raised = degree[:]
-        for d in vertices[vertex[c1]]:
-            raised[d] += 1
-        # pendant edge in the corner after c1
-        sz = size[:]
+        grown = size[:]
         for d in cycle:
-            sz[d] = length + 2
-        yield c1, None, _tied(raised, face, sz,
-                              (1, raised[c1], length + 2, length + 2))
-        p1 = pos[sigma[c1]]
-        for c2 in corners_of_face[f]:
-            if c2 < c1:
-                continue
-            deg = raised[:]
-            for d in vertices[vertex[c2]]:
-                deg[d] += 1
-            # the darts at positions p1 .. p2 - 1 of the cycle go to the new
-            # face of y, the others stay with x
-            k = (pos[sigma[c2]] - p1) % length
-            side, sz = list(face), size[:]
-            for i in range(length):
-                d = cycle[(p1 + i) % length]
-                if i < k:
-                    side[d], sz[d] = -1, k + 1
-                else:
+            grown[d] = length + 2
+        for p1 in range(length):
+            c1 = cycle[p1 - 1] ^ 1
+            # every child raises the degree at c1's vertex
+            raised = degree[:]
+            for d in vertices[vertex[c1]]:
+                raised[d] += 1
+            yield c1, None, _tied(raised, face, grown,
+                                  (1, raised[c1], length + 2, length + 2))
+            for p2 in range(p1, length):
+                c2 = cycle[p2 - 1] ^ 1
+                deg = raised[:]
+                for d in vertices[vertex[c2]]:
+                    deg[d] += 1
+                # positions p1 .. p2 - 1 form y's new face, the rest x's
+                k = p2 - p1
+                side, sz = list(face), size[:]
+                for d in cycle:
                     sz[d] = length - k + 1
-            a, b = sorted((deg[c1], deg[c2]))
-            fa, fb = sorted((k + 1, length - k + 1))
-            yield c1, c2, _tied(deg, side, sz, (a, b, fa, fb))
+                for d in cycle[p1:p2]:
+                    side[d], sz[d] = -1, k + 1
+                a, b = sorted((deg[c1], deg[c2]))
+                fa, fb = sorted((k + 1, length - k + 1))
+                yield c1, c2, _tied(deg, side, sz, (a, b, fa, fb))
 
 
 def _tied(deg, side, size, new):

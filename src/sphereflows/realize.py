@@ -151,7 +151,7 @@ def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
     ``merged`` stands in for.  Points, in id order: a point per cell of that
     kind other than ``c``, a point per cell of the other kind (a source per
     vertex, a sink per face), the ``(kind, origin)`` points of ``pair``, a
-    saddle per edge whose even dart is not in ``skipped``, and last
+    saddle per edge whose number ``d >> 1`` is not in ``skipped``, and last
     ``merged``.  Each saddle gets its two stable and two unstable arcs.
     Returns the points, the arcs and the point ids by cell kind and index.
     """
@@ -168,13 +168,13 @@ def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
                 point[kind][i] = add(_CELL_POINT[kind], (kind, min(orbit)))
     for kind, origin in pair:
         add(kind, origin)
-    saddle_point = {rep: add("saddle", ("edge", rep))
-                    for rep in range(0, m.n_darts, 2) if rep not in skipped}
+    saddle_point = {e: add("saddle", ("edge", 2 * e))
+                    for e in range(m.n_edges) if e not in skipped}
     if merged is not None:
         point[cell][c] = add(*merged)
     arcs = []
-    for rep, s in saddle_point.items():
-        for d in (rep, rep + 1):
+    for e, s in saddle_point.items():
+        for d in (2 * e, 2 * e + 1):
             arcs += _dart_arcs(m, point, cell, s, d)
     return points, arcs, point
 
@@ -192,10 +192,10 @@ def _realize_saddle_node(m: CombinatorialMap, d0: int,
     # the saddle of d0's edge merges into d0's vertex (source mark) or face
     # (sink mark); its hyperbolic separatrices join the cell of that kind at
     # far, across the edge, and the cells of the other kind at d0 and at far
-    far = m.alpha[d0]
+    far = d0 ^ 1
     c = m.vertex_of(d0) if cell == "vertex" else m.face_of(d0)
     points, arcs, point = _morse_skeleton(
-        m, cell, c, {min(d0, far)},
+        m, cell, c, {d0 >> 1},
         merged=("saddle-node-" + _CELL_POINT[cell], ("mark", d0)))
     (across, far_side), (_, near_side) = (
         _dart_arcs(m, point, cell, point[cell][c], d) for d in (far, d0))
@@ -208,8 +208,8 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
     a = m.sigma[p]
     b = m.sigma[a]
     pair = (("saddle", ("vertex", min(m.vertex_orbits[t]))),
-            ("saddle", ("edge", min(p, m.alpha[p]))))
-    skipped = {min(p, m.alpha[p]), min(a, m.alpha[a]), min(b, m.alpha[b])}
+            ("saddle", ("edge", p & ~1)))
+    skipped = {p >> 1, a >> 1, b >> 1}
     points, arcs, point = _morse_skeleton(m, "vertex", t, skipped, pair)
     # the pair follows the sources and the sinks
     lower = len(point["vertex"]) + len(point["face"])
@@ -219,10 +219,9 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
     # corner between the collinear darts; the upper saddle: second stable
     # separatrix from the far endpoint of the perpendicular edge, unstable
     # pair into the faces on its sides
-    far = m.alpha[p]
     (in_a, out_a), (in_b, _), (in_far, out_far) = (
         _dart_arcs(m, point, "vertex", s, d)
-        for s, d in ((lower, m.alpha[a]), (lower, m.alpha[b]), (upper, far)))
+        for s, d in ((lower, a ^ 1), (lower, b ^ 1), (upper, p ^ 1)))
     arcs += (in_a, in_b, Separatrix(lower, upper, p), out_a, in_far,
              Separatrix(upper, point["face"][m.face_of(p)], p), out_far)
     return SeparatrixDiagram(tuple(points), tuple(arcs), (lower, upper))

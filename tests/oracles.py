@@ -16,6 +16,9 @@ the brute strategy enumerates before its sphere filter.
 ``mirror_fixed`` decides from ``all_traces`` alone whether a marked map is
 isomorphic to its mirror image, the fixed points of Burnside's lemma that
 turn sensed class counts into unsensed ones.
+``rooted_flows`` lists the sensed flow classes of one mark kind as rooted
+maps, each with whether its mirror image is the same class, so the census
+counts follow without the canonical-labeling kernel.
 ``far_side_edges`` sizes the component a T-vertex's perpendicular edge cuts
 off by union-find, the reference for ``t_connection_category``.
 
@@ -31,7 +34,10 @@ from itertools import permutations
 
 from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
                          Separatrix, SeparatrixDiagram, SingularPoint,
-                         SourceMark, generate_maps, realize, reverse)
+                         SinkMark, SourceMark, TMark, generate_maps, realize,
+                         reverse)
+from sphereflows.combmap import sphere_failures
+from sphereflows.generate import _rooted_rotations
 
 
 def _inv(p):
@@ -231,6 +237,54 @@ def rooted_any_genus(e):
         a.append(double_factorial[n] - sum(double_factorial[k] * a[n - k]
                                            for k in range(1, n)))
     return a[e + 1]
+
+
+def rooted_relabel(sigma, root):
+    """The pair-normal rotation ``sigma`` relabeled from ``root`` by the rule
+    of ``_rooted_rotations``: darts are read in label order, and a rotation
+    successor not labeled yet takes the next even label, its partner the
+    odd one after it."""
+    label = {root: 0, root ^ 1: 1}
+    darts = [root, root ^ 1]
+    for d in darts:
+        x = sigma[d]
+        if x not in label:
+            label[x], label[x ^ 1] = len(darts), len(darts) + 1
+            darts += (x, x ^ 1)
+    return tuple(label[sigma[d]] for d in darts)
+
+
+_ROOT_MARK = {"source": SourceMark, "sink": SinkMark, "t": TMark}
+
+
+def rooted_flows(n_edges, kind):
+    """``(marked map, mirror_fixed)`` per sensed class of flows whose mark of
+    ``kind`` sits on a map with ``n_edges`` edges.
+
+    A class of (map, dart) up to orientation-preserving homeomorphism is a
+    rooted map, so the classes are the spherical rooted rotations whose
+    root dart 0 is a legal mark.  Legality is read off the cells, not
+    through ``why_illegal``: a source root is not a loop, a sink root has
+    two distinct faces beside it, and a T root sits at a degree-3 vertex
+    with no loop.  The mirror image inverts the rotation and moves a sink
+    root to its partner, dart 1; it is the same class when relabeling it
+    from that root gives back ``sigma``.  By Burnside's lemma the unsensed
+    classes number ``(sensed + mirror_fixed) / 2``.
+    """
+    out = []
+    for sigma in _rooted_rotations(n_edges):
+        if sphere_failures(sigma):
+            continue
+        m = CombinatorialMap(sigma)
+        vertex, at = m.vertex_of, m.vertex_orbits[m.vertex_of(0)]
+        legal = {"source": vertex(0) != vertex(1),
+                 "sink": m.face_of(0) != m.face_of(1),
+                 "t": len(at) == 3 and all(vertex(d ^ 1) != vertex(0)
+                                           for d in at)}[kind]
+        if legal:
+            fixed = rooted_relabel(_inv(sigma), int(kind == "sink")) == sigma
+            out.append((MarkedMap(m, _ROOT_MARK[kind](0)), fixed))
+    return out
 
 
 def far_side_edges(mm):

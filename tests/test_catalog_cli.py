@@ -262,6 +262,21 @@ class TestCli:
         res = run_cli("maps")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("maps", "2", "--jobs", "abc"),
+        ("maps",),
+        ("maps", "2", "--bogus"),
+        ("bifurcations", "foo", "2"),
+        ("export",),
+        ("export", "C", "--format", "xml"),
+    ], ids=" ".join)
+    def test_bad_flag_exits_2_with_one_error_line(self, argv, tmp_path):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_dot(self, tmp_path):
         catalog_path = tmp_path / "m2.json"
         run_cli("maps", "2", "--out", str(catalog_path))

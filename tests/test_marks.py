@@ -14,7 +14,7 @@ from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                                FAR_SIDE_TWO_EDGES)
 
 from oracles import (far_side_edges, marked_classes, mirror_fixed, relabel,
-                     sensed_source_classes, source_class_count)
+                     rooted_flows, sensed_source_classes, source_class_count)
 
 
 class TestMarkLegality:
@@ -387,3 +387,51 @@ class TestClassInvariance:
         assert MarkedMap(named["segment"], SourceMark(0)).n_saddles == 1
         assert MarkedMap(named["star3"], TMark(0)).n_saddles == 2
         assert MarkedMap(named["star3"], TMark(0)).n_singular_points == 6
+
+
+# sensed, unsensed and mirror-fixed classes by saddle count, the same for
+# source and sink marks
+SN_ROOTED_COUNTS = {1: (1, 1, 1), 2: (5, 5, 5), 3: (32, 26, 20),
+                    4: (234, 163, 92)}
+T_ROOTED_COUNTS = {2: (5, 4, 3), 3: (36, 24, 12), 4: (270, 165, 60)}
+# sensed, unsensed and mirror-fixed T classes with 4 saddles by category
+T4_ROOTED_BY_CATEGORY = {CONNECTED_AFTER_CUT: (234, 135, 36),
+                         FAR_SIDE_ONE_EDGE: (18, 14, 10),
+                         FAR_SIDE_TWO_EDGES: (18, 16, 14)}
+FAR_SIDE_CATEGORY = (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE, FAR_SIDE_TWO_EDGES)
+
+
+def _sensed_unsensed_fixed(flows):
+    sensed, fixed = len(flows), sum(f for _, f in flows)
+    assert (sensed + fixed) % 2 == 0
+    return sensed, (sensed + fixed) // 2, fixed
+
+
+# every class count in both modes from rooted maps and Burnside's lemma, with
+# no canonical code computed on the oracle side
+
+@pytest.mark.parametrize("kind", ["source", "sink"])
+@pytest.mark.parametrize("n", sorted(SN_ROOTED_COUNTS))
+def test_saddle_node_census_counts_rooted_flows(kind, n):
+    counts = _sensed_unsensed_fixed(rooted_flows(n, kind))
+    assert counts == SN_ROOTED_COUNTS[n]
+    for i, reflection in enumerate((False, True)):
+        census = saddle_node_census(n, allow_reflection=reflection)
+        assert getattr(census, f"total_{kind}") == counts[i]
+
+
+@pytest.mark.parametrize("n", sorted(T_ROOTED_COUNTS))
+def test_saddle_connection_census_counts_rooted_flows(n):
+    flows = rooted_flows(n + 1, "t")
+    counts = _sensed_unsensed_fixed(flows)
+    assert counts == T_ROOTED_COUNTS[n]
+    by_category = {
+        category: _sensed_unsensed_fixed(
+            [f for f in flows if min(far_side_edges(f[0]), 2) == far])
+        for far, category in enumerate(FAR_SIDE_CATEGORY)}
+    if n == 4:
+        assert by_category == T4_ROOTED_BY_CATEGORY
+    for i, reflection in enumerate((False, True)):
+        census = saddle_connection_census(n, allow_reflection=reflection)
+        assert census.total == counts[i]
+        assert census.by_category == {c: v[i] for c, v in by_category.items()}

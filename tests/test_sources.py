@@ -53,3 +53,15 @@ def test_no_module_imports_a_name_it_never_reads(path):
     unused = [f"{path.name}:{line} {name}"
               for name, line in _imported(tree).items() if name not in read]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_an_alpha_attribute(path):
+    # past the constructor the partner of dart d is d ^ 1; the public
+    # ``alpha`` property is kept for callers outside the package
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("alpha", "_alpha")]
+    assert reads == []
