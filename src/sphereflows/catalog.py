@@ -134,16 +134,9 @@ class CatalogEntry(namedtuple(
                 type(v) is int for v in points.values()):
             raise TypeError(f"entry singular_points {points!r} is not an "
                             "object of integer counts")
-        return cls(
-            code=d["code"],
-            n_edges=d["n_edges"],
-            n_vertices=d["n_vertices"],
-            n_faces=d["n_faces"],
-            degree_sequence=tuple(d["degree_sequence"]),
-            mark=None if mark is None else dict(mark),
-            singular_points=dict(points),
-            paper_label=d["paper_label"],
-        )
+        values = {field: d[field] for field in cls._fields}
+        values["degree_sequence"] = tuple(values["degree_sequence"])
+        return cls(**values)
 
 
 def _mark_field(mark: Optional[tuple]) -> Optional[dict]:

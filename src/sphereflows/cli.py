@@ -63,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="grow",
                         help="generation strategy (both give identical output)")
     _common_flags(p_maps)
+    p_maps.set_defaults(run=cmd_maps)
 
     p_bif = subs.add_parser(
         "bifurcations", help="catalog of marked maps of one bifurcation kind")
@@ -72,12 +73,14 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{MAX_SADDLES}, saddle-connection "
                             f"{T_MIN_SADDLES}..{MAX_SADDLES})")
     _common_flags(p_bif)
+    p_bif.set_defaults(run=cmd_bifurcations)
 
     p_ver = subs.add_parser(
         "verify-paper",
         help=f"run every census up to {cat.PAPER_MAX_SADDLES} saddles and "
              "compare with the published classification")
     _common_flags(p_ver)
+    p_ver.set_defaults(run=cmd_verify_paper)
 
     p_exp = subs.add_parser("export", help="re-serialize catalog entries")
     p_exp.add_argument("catalog", type=Path, help="catalog JSON file")
@@ -86,14 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--format", required=True,
                        choices=("json", "dot", "diagram-json"))
     p_exp.add_argument("--out", type=Path, default=None, metavar="PATH")
+    p_exp.set_defaults(run=cmd_export)
     return parser
 
 
 def cmd_maps(args) -> int:
-    try:
-        cfg = GenerationConfig(args.edges, not args.no_reflections, args.jobs)
-    except EdgeCountOutOfRangeError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = GenerationConfig(args.edges, not args.no_reflections, args.jobs)
     catalog = cat.build_map_catalog(cfg, args.strategy)
     out = args.out or Path(f"maps-e{args.edges}.json")
     _write(out, catalog.dumps())
@@ -106,11 +107,8 @@ def cmd_maps(args) -> int:
 
 
 def cmd_bifurcations(args) -> int:
-    try:
-        catalog = cat.build_bifurcation_catalog(
-            args.kind, args.saddles, not args.no_reflections)
-    except (SaddleCountOutOfRangeError, EdgeCountOutOfRangeError) as exc:
-        raise UsageError(str(exc)) from exc
+    catalog = cat.build_bifurcation_catalog(
+        args.kind, args.saddles, not args.no_reflections)
     out = args.out or Path(f"bifurcations-{args.kind}-n{args.saddles}.json")
     _write(out, catalog.dumps())
     print(f"{len(catalog.entries)} {args.kind} classes with "
@@ -133,8 +131,6 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if not args.catalog.exists():
-        raise UsageError(f"no such catalog file: {args.catalog}")
     try:
         catalog = cat.Catalog.loads(args.catalog.read_text())
     except (OSError, ValueError) as exc:
@@ -158,22 +154,15 @@ def cmd_export(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "maps": cmd_maps,
-    "bifurcations": cmd_bifurcations,
-    "verify-paper": cmd_verify_paper,
-    "export": cmd_export,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
+        return args.run(args)
+    except (UsageError, EdgeCountOutOfRangeError,
+            SaddleCountOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except cat.InternalInvariantError as exc:

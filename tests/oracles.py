@@ -16,6 +16,9 @@ the brute strategy enumerates before its sphere filter.
 ``mirror_fixed`` decides from ``all_traces`` alone whether a marked map is
 isomorphic to its mirror image, the fixed points of Burnside's lemma that
 turn sensed class counts into unsensed ones.
+``rooted_maps`` builds the rooted planar maps level by level from Tutte's
+root-edge decomposition, with no canonical code and no enumeration shared
+with the brute strategy.
 ``rooted_flows`` lists the sensed flow classes of one mark kind as rooted
 maps, each with whether its mirror image is the same class, so the census
 counts follow without the canonical-labeling kernel.
@@ -30,14 +33,13 @@ from cycle notation, dart renamings and orientation reversals.
 """
 
 import math
+from functools import cache
 from itertools import permutations
 
 from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
                          Separatrix, SeparatrixDiagram, SingularPoint,
                          SinkMark, SourceMark, TMark, generate_maps, realize,
                          reverse)
-from sphereflows.combmap import sphere_failures
-from sphereflows.generate import _rooted_rotations
 
 
 def _inv(p):
@@ -241,9 +243,9 @@ def rooted_any_genus(e):
 
 def rooted_relabel(sigma, root):
     """The pair-normal rotation ``sigma`` relabeled from ``root`` by the rule
-    of ``_rooted_rotations``: darts are read in label order, and a rotation
-    successor not labeled yet takes the next even label, its partner the
-    odd one after it."""
+    of the brute strategy's rooted rotations: darts are read in label
+    order, and a rotation successor not labeled yet takes the next even
+    label, its partner the odd one after it."""
     label = {root: 0, root ^ 1: 1}
     darts = [root, root ^ 1]
     for d in darts:
@@ -254,6 +256,59 @@ def rooted_relabel(sigma, root):
     return tuple(label[sigma[d]] for d in darts)
 
 
+def _put(sigma, dart, before):
+    """Put ``dart`` in the corner before ``before`` at its vertex, or alone
+    at a vertex of its own when ``before`` is None."""
+    if before is None:
+        sigma[dart] = dart
+    else:
+        sigma[sigma.index(before)], sigma[dart] = dart, before
+
+
+@cache
+def rooted_maps(n):
+    """Rooted planar maps with 0..n edges, one tuple per edge count (Tutte,
+    "A census of planar maps", 1963).
+
+    Each map is a pair-normal ``sigma`` rooted at dart 0 and relabeled from
+    it by ``rooted_relabel``; ``()`` is the one-vertex map.  A map with
+    ``e`` edges takes its root edge from new darts ``x = 2(e - 1)``, the new
+    root, and ``y = x + 1``.  A bridge joins the corners before the roots
+    of a rooted ``i``-edge map and a rooted ``(e - 1 - i)``-edge map, whose
+    darts are shifted by ``2i``; a new dart on an empty side is alone at its
+    vertex.  Any other root edge runs from the corner before the root of a
+    rooted ``(e - 1)``-edge map to a corner of the root's face; the corner
+    before position ``p`` of its cycle is the one after ``cycle[p - 1] ^ 1``,
+    and in the root's own corner both orders of ``x`` and ``y`` count.
+    """
+    levels = [((),)]
+    for e in range(1, n + 1):
+        x, y = 2 * e - 2, 2 * e - 1
+        level = []
+        for i in range(e):
+            for a in levels[i]:
+                for b in levels[e - 1 - i]:
+                    sigma = [*a, *(d + 2 * i for d in b), x, y]
+                    _put(sigma, x, 0 if a else None)
+                    _put(sigma, y, 2 * i if b else None)
+                    level.append(rooted_relabel(sigma, x))
+        for a in levels[e - 1]:
+            if not a:
+                level.append((1, 0))  # the one loop
+                continue
+            cycle = [0]  # the root's face
+            while a[cycle[-1] ^ 1] != 0:
+                cycle.append(a[cycle[-1] ^ 1])
+            for steps in ([(x, 0), (y, 0)], [(y, 0), (x, 0)],
+                          *([(x, 0), (y, d)] for d in cycle[1:])):
+                sigma = [*a, x, y]
+                for dart, before in steps:
+                    _put(sigma, dart, before)
+                level.append(rooted_relabel(sigma, x))
+        levels.append(tuple(level))
+    return tuple(levels)
+
+
 _ROOT_MARK = {"source": SourceMark, "sink": SinkMark, "t": TMark}
 
 
@@ -262,9 +317,9 @@ def rooted_flows(n_edges, kind):
     ``kind`` sits on a map with ``n_edges`` edges.
 
     A class of (map, dart) up to orientation-preserving homeomorphism is a
-    rooted map, so the classes are the spherical rooted rotations whose
-    root dart 0 is a legal mark.  Legality is read off the cells, not
-    through ``why_illegal``: a source root is not a loop, a sink root has
+    rooted map, so the classes are the ``rooted_maps`` whose root dart 0 is
+    a legal mark.  Legality is read off the cells, not through
+    ``why_illegal``: a source root is not a loop, a sink root has
     two distinct faces beside it, and a T root sits at a degree-3 vertex
     with no loop.  The mirror image inverts the rotation and moves a sink
     root to its partner, dart 1; it is the same class when relabeling it
@@ -272,9 +327,7 @@ def rooted_flows(n_edges, kind):
     classes number ``(sensed + mirror_fixed) / 2``.
     """
     out = []
-    for sigma in _rooted_rotations(n_edges):
-        if sphere_failures(sigma):
-            continue
+    for sigma in rooted_maps(n_edges)[n_edges]:
         m = CombinatorialMap(sigma)
         vertex, at = m.vertex_of, m.vertex_orbits[m.vertex_of(0)]
         legal = {"source": vertex(0) != vertex(1),

@@ -208,6 +208,27 @@ class TestCli:
         res = run_cli("bifurcations", "saddle-connection", "1", cwd=tmp_path)
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("maps", "0"), "n_edges must be in 1..5, got 0"),
+        (("maps", "6"), "n_edges must be in 1..5, got 6"),
+        (("bifurcations", "saddle-node", "0"),
+         "saddle-node flows need 1..4 saddles, got 0"),
+        (("bifurcations", "saddle-node", "5"),
+         "saddle-node flows need 1..4 saddles, got 5"),
+        (("bifurcations", "saddle-connection", "1"),
+         "saddle connections need 2..4 saddles, got 1"),
+        (("bifurcations", "saddle-connection", "5"),
+         "saddle connections need 2..4 saddles, got 5"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_count_out_of_range_exits_2_with_its_message(
+            self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", [
         ("maps", "3"),
         ("bifurcations", "saddle-node", "2"),
@@ -295,8 +316,12 @@ class TestCli:
 
     def test_export_missing_catalog_exits_2(self, tmp_path):
         res = run_cli("export", str(tmp_path / "absent.json"),
-                      "--format", "json")
+                      "--format", "json", cwd=tmp_path)
         assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: cannot read catalog ")
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 REPLAY = Path(__file__).resolve().parent.parent / "censusbench" / "replay.py"
@@ -392,7 +417,9 @@ BAD_TOKENS = {
 
 @pytest.mark.parametrize("damage", [
     "not-json", "not-an-object", "no-entries", "no-catalog", "no-params",
-    "no-schema_version", "no-n_faces", "no-code", "schema-999", "bad-token",
+    "no-schema_version", "no-n_faces", "no-code", "no-n_edges",
+    "no-n_vertices", "no-degree_sequence", "no-singular_points",
+    "schema-999", "bad-token",
     "torus-token", "disconnected-token", "identity-alpha-token",
     "source-on-loop-token", "sink-on-bridge-token", "t-at-leaf-token",
     *MISSPELLED_TOKENS, *NULLED_FIELDS,

@@ -8,8 +8,8 @@ from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
                          GenerationConfig, generate_maps)
 from sphereflows.combmap import normal_alpha, sphere_failures
 
-from oracles import (all_traces, rooted_any_genus, rooted_count, rooted_sum,
-                     tutte_rooted)
+from oracles import (all_traces, rooted_any_genus, rooted_count, rooted_maps,
+                     rooted_sum, tutte_rooted)
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -42,6 +42,23 @@ def test_brute_enumerates_each_rooted_map_once(e):
     assert all(sorted(sigma) == list(range(2 * e)) for sigma in rotations)
     spherical = [s for s in rotations if not sphere_failures(s)]
     assert len(spherical) == tutte_rooted(e)
+
+
+def test_rooted_map_stream_has_tuttes_numbers():
+    # the root-edge decomposition builds each rooted planar map once
+    levels = rooted_maps(6)
+    assert levels[0] == ((),)
+    assert [len(level) for level in levels[1:]] == [
+        tutte_rooted(n) for n in range(1, 7)] == [2, 9, 54, 378, 2916, 24057]
+    for level in levels[1:]:
+        assert len(set(level)) == len(level)
+        assert not any(sphere_failures(sigma) for sigma in level)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+def test_rooted_map_stream_equals_brute_spherical_rotations(e):
+    spherical = {s for s in gen._rooted_rotations(e) if not sphere_failures(s)}
+    assert set(rooted_maps(e)[e]) == spherical
 
 
 @pytest.mark.parametrize("e", [1, 2, 3, 4, 5])

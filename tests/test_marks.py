@@ -435,3 +435,23 @@ def test_saddle_connection_census_counts_rooted_flows(n):
         census = saddle_connection_census(n, allow_reflection=reflection)
         assert census.total == counts[i]
         assert census.by_category == {c: v[i] for c, v in by_category.items()}
+
+
+@pytest.mark.parametrize("kind", ["source", "sink", "t"])
+def test_rooted_flows_mirror_fixed_agrees_with_the_trace_oracle(kind):
+    # one relabeling from the root against the least trace over all starts
+    for mm, fixed in rooted_flows(4, kind):
+        assert mirror_fixed(mm) == fixed, mm
+
+
+def test_eleven_point_saddle_node_counts_agree():
+    # five saddles, one past the census limit: the rooted-map stream,
+    # Tutte's numbers and the per-map enumerators over the five-edge maps
+    for kind in ("source", "sink"):
+        assert _sensed_unsensed_fixed(rooted_flows(5, kind)) == (1863, 1143, 423)
+    assert sensed_source_classes(5) == 1863
+    for reflection, count in ((False, 1863), (True, 1143)):
+        maps = generate_maps(GenerationConfig(5, reflection))
+        for enumerate_marks in (enumerate_source_marks, enumerate_sink_marks):
+            assert sum(len(enumerate_marks(m, allow_reflection=reflection))
+                       for m in maps) == count, (enumerate_marks, reflection)

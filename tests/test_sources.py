@@ -65,3 +65,21 @@ def test_no_module_reads_an_alpha_attribute(path):
              if isinstance(node, ast.Attribute)
              and node.attr in ("alpha", "_alpha")]
     assert reads == []
+
+
+RANGE_ERRORS = {"EdgeCountOutOfRangeError", "SaddleCountOutOfRangeError"}
+
+
+def test_only_main_catches_the_count_range_errors():
+    # main turns a bad edge or saddle count into exit 2, so no command
+    # states that rule again
+    path = Path(sphereflows.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    catches = [f"cli.py:{handler.lineno} in {func.name}"
+               for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name != "main"
+               for handler in ast.walk(func)
+               if isinstance(handler, ast.ExceptHandler) and handler.type
+               and {node.id for node in ast.walk(handler.type)
+                    if isinstance(node, ast.Name)} & RANGE_ERRORS]
+    assert catches == []
