@@ -389,10 +389,12 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
     if sc[3].total != PAPER_EXPECTED_FLOWS[8]:
         nonsplit = sc[3].by_category[CONNECTED_AFTER_CUT]
         split = sc[3].total - nonsplit
+        matched = "; the published 20 equals the first category"
         notes.append(
             f"8 points: computed {sc[3].total} = {nonsplit} classes whose "
             f"perpendicular edge keeps the rest connected plus {split} "
-            "disconnecting classes; the published 20 equals the first category")
+            "disconnecting classes"
+            + matched * (nonsplit == PAPER_EXPECTED_FLOWS[8]))
     if sn[4].total != PAPER_EXPECTED_FLOWS[9]:
         notes.append(
             "9 points: duality pairs source and sink classes one to one, so the "
@@ -428,9 +430,9 @@ def entry_to_dot(entry: CatalogEntry, flow) -> str:
     lines = [f'graph "{entry.code}" {{']
     for i, orbit in enumerate(m.vertex_orbits):
         attrs = f"degree={len(orbit)}"
-        if mark_kind == "t" and i == m.vertex_of(mark_dart):
+        if mark_kind == "t" and i == m.vertex_index[mark_dart]:
             attrs += ', mark="t-vertex"'
-        if mark_kind == "source" and i == m.vertex_of(mark_dart):
+        if mark_kind == "source" and i == m.vertex_index[mark_dart]:
             attrs += ', mark="source endpoint"'
         lines.append(f"  v{i} [{attrs}];")
     for e in range(m.n_edges):
@@ -438,12 +440,12 @@ def entry_to_dot(entry: CatalogEntry, flow) -> str:
         attrs = f"edge={e}"
         if mark_dart is not None and mark_dart >> 1 == e:
             if mark_kind == "source":
-                attrs += f', mark="source endpoint=v{m.vertex_of(mark_dart)}"'
+                attrs += f', mark="source endpoint=v{m.vertex_index[mark_dart]}"'
             elif mark_kind == "sink":
-                attrs += f', mark="sink face=f{m.face_of(mark_dart)}"'
+                attrs += f', mark="sink face=f{m.face_index[mark_dart]}"'
             else:
-                attrs += f', mark="t perpendicular, vertex=v{m.vertex_of(mark_dart)}"'
-        lines.append(f"  v{m.vertex_of(d)} -- v{m.vertex_of(d + 1)} [{attrs}];")
+                attrs += f', mark="t perpendicular, vertex=v{m.vertex_index[mark_dart]}"'
+        lines.append(f"  v{m.vertex_index[d]} -- v{m.vertex_index[d + 1]} [{attrs}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

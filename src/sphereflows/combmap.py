@@ -10,7 +10,7 @@ encodes a graph embedded in the 2-sphere up to orientation-preserving
 homeomorphism.  The constructor is the one place this is checked, so
 every ``CombinatorialMap`` is valid by construction, and the check computes
 the map's cells once: it keeps the vertex and face cycles it counts and
-each dart's vertex and face, which every cell accessor reads.  The
+each dart's index among them, ``vertex_index`` and ``face_index``.  The
 constructor alone reads a caller's ``alpha``: it relabels the darts to pair
 normal form ``(0 1)(2 3)...``; past it the partner of dart ``d`` is ``d ^ 1``.
 
@@ -156,15 +156,12 @@ class MapMark:
     def __repr__(self):
         return f"{type(self).__qualname__}(dart={self._dart!r})"
 
-    def check_on(self, m: "CombinatorialMap") -> None:
+    def validate_on(self, m: "CombinatorialMap") -> None:
+        """Raise InvalidMarkError unless the mark's dart is one of ``m``'s and
+        its kind's one rule, ``why_illegal(m, d)``, lets it sit there."""
         if not 0 <= self.dart < m.n_darts:
             raise InvalidMarkError(
                 f"mark dart {self.dart} outside dart range 0..{m.n_darts - 1}")
-
-    def validate_on(self, m: "CombinatorialMap") -> None:
-        """Raise InvalidMarkError unless the mark is legal on ``m``; each kind
-        states once, in ``why_illegal(m, d)``, why it cannot sit at dart d."""
-        self.check_on(m)
         why = self.why_illegal(m, self.dart)
         if why is not None:
             raise InvalidMarkError(why)
@@ -365,7 +362,7 @@ class CombinatorialMap:
     failure (``NotInvolution``, ``NotConnected``, ``NotSpherical``) unless
     the rotation system is a connected map on the sphere.  That check walks
     the vertex and face cycles once and keeps them, with each dart's cell,
-    for every accessor.  All operations are pure; instances are safe to
+    for every reader.  All operations are pure; instances are safe to
     share between threads.
 
     >>> segment = CombinatorialMap((0, 1), (1, 0))
@@ -431,15 +428,16 @@ class CombinatorialMap:
 
     def validate(self) -> None:
         """Compute the map's cells once: the vertex cycles of ``sigma``, the
-        face cycles of ``sigma∘alpha`` and each dart's index among both.
+        face cycles of ``sigma∘alpha`` and, per dart, ``vertex_index[d]`` of
+        the vertex it leaves and ``face_index[d]`` of the face to its left.
         Raise ValueError naming the failures unless the map is connected
         and spherical; the constructor runs it once."""
         failures, self.vertex_orbits, self.face_orbits = _sphere_cells(
             self._sigma)
         if failures:
             raise ValueError(f"invalid map: {', '.join(failures)}")
-        self._vertex_index = _orbit_index(self.vertex_orbits, self.n_darts)
-        self._face_index = _orbit_index(self.face_orbits, self.n_darts)
+        self.vertex_index = _orbit_index(self.vertex_orbits, self.n_darts)
+        self.face_index = _orbit_index(self.face_orbits, self.n_darts)
 
     @property
     def n_vertices(self) -> int:
@@ -449,21 +447,13 @@ class CombinatorialMap:
     def n_faces(self) -> int:
         return len(self.face_orbits)
 
-    def vertex_of(self, d: int) -> int:
-        """Index into ``vertex_orbits`` of the vertex the dart leaves."""
-        return self._vertex_index[d]
-
-    def face_of(self, d: int) -> int:
-        """Index into ``face_orbits`` of the face to the left of the dart."""
-        return self._face_index[d]
-
     def is_loop(self, d: int) -> bool:
         """Whether the dart's edge has both ends at the same vertex."""
-        return self._vertex_index[d] == self._vertex_index[d ^ 1]
+        return self.vertex_index[d] == self.vertex_index[d ^ 1]
 
     def is_bridge(self, d: int) -> bool:
         """Whether the dart's edge has the same face on both sides."""
-        return self._face_index[d] == self._face_index[d ^ 1]
+        return self.face_index[d] == self.face_index[d ^ 1]
 
     def degree_sequence(self) -> tuple:
         return tuple(sorted((len(o) for o in self.vertex_orbits), reverse=True))
@@ -483,12 +473,9 @@ class CombinatorialMap:
 
     def canonical_code(self, mark: Optional[MapMark] = None,
                        allow_reflection: bool = True) -> CanonicalCode:
-        """Canonical code of the map, or of the map with ``mark``.
-
-        One kernel run per reflection mode serves the map and all its marks.
-        """
-        if mark is not None:
-            mark.check_on(self)
+        """Canonical code of the map, or of the map with ``mark``, which
+        raises InvalidMarkError unless it is legal on the map.  One kernel
+        run per reflection mode serves the map and all its marks."""
         least = self._least.get(allow_reflection)
         if least is None:
             least = self._least[allow_reflection] = canonical_code_for(
@@ -496,6 +483,7 @@ class CombinatorialMap:
         code, winners = least
         if mark is None:
             return code
+        mark.validate_on(self)
         # every winner attains the least trace, so the least mark value over
         # them completes the least trace-and-mark over all starts
         value = min(mark.trace_value(labels, reflected)

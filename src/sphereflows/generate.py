@@ -106,7 +106,7 @@ def _augmentations(m: CombinatorialMap):
     a join gives the darts at positions ``p1 .. p2 - 1`` a new face.
     """
     vertices, faces = m.vertex_orbits, m.face_orbits
-    vertex, face = m._vertex_index, m._face_index
+    vertex, face = m.vertex_index, m.face_index
     degree = [len(vertices[v]) for v in vertex]
     size = [len(faces[f]) for f in face]
     for cycle in faces:

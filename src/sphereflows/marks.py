@@ -82,7 +82,7 @@ class TMark(MapMark):
 
     @staticmethod
     def why_illegal(m, d):
-        orbit = m.vertex_orbits[m.vertex_of(d)]
+        orbit = m.vertex_orbits[m.vertex_index[d]]
         if len(orbit) != 3:
             return "a T-mark needs a vertex of degree 3"
         if any(map(m.is_loop, orbit)):

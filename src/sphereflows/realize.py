@@ -153,7 +153,8 @@ def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
     vertex, a sink per face), the ``(kind, origin)`` points of ``pair``, a
     saddle per edge whose number ``d >> 1`` is not in ``skipped``, and last
     ``merged``.  Each saddle gets its two stable and two unstable arcs.
-    Returns the points, the arcs and the point ids by cell kind and index.
+    Returns the points, the arcs, the point ids by cell kind and index, and
+    the ids of ``pair``.
     """
     points, point = [], {"vertex": {}, "face": {}}
 
@@ -166,8 +167,7 @@ def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
         for i, orbit in enumerate(orbits[kind]):
             if kind != cell or i != c:
                 point[kind][i] = add(_CELL_POINT[kind], (kind, min(orbit)))
-    for kind, origin in pair:
-        add(kind, origin)
+    pair_ids = tuple(add(*p) for p in pair)
     saddle_point = {e: add("saddle", ("edge", 2 * e))
                     for e in range(m.n_edges) if e not in skipped}
     if merged is not None:
@@ -176,14 +176,14 @@ def _morse_skeleton(m: CombinatorialMap, cell: str, c: int, skipped: set,
     for e, s in saddle_point.items():
         for d in (2 * e, 2 * e + 1):
             arcs += _dart_arcs(m, point, cell, s, d)
-    return points, arcs, point
+    return points, arcs, point, pair_ids
 
 
 def _dart_arcs(m: CombinatorialMap, point: dict, cell: str, s: int, d: int):
     """The arcs of ``s`` in from the vertex of ``d`` and out into its face,
     the one joining a cell of kind ``cell`` first."""
-    into = Separatrix(point["vertex"][m.vertex_of(d)], s, d)
-    out = Separatrix(s, point["face"][m.face_of(d)], d)
+    into = Separatrix(point["vertex"][m.vertex_index[d]], s, d)
+    out = Separatrix(s, point["face"][m.face_index[d]], d)
     return (into, out) if cell == "vertex" else (out, into)
 
 
@@ -193,8 +193,8 @@ def _realize_saddle_node(m: CombinatorialMap, d0: int,
     # (sink mark); its hyperbolic separatrices join the cell of that kind at
     # far, across the edge, and the cells of the other kind at d0 and at far
     far = d0 ^ 1
-    c = m.vertex_of(d0) if cell == "vertex" else m.face_of(d0)
-    points, arcs, point = _morse_skeleton(
+    c = m.vertex_index[d0] if cell == "vertex" else m.face_index[d0]
+    points, arcs, point, _ = _morse_skeleton(
         m, cell, c, {d0 >> 1},
         merged=("saddle-node-" + _CELL_POINT[cell], ("mark", d0)))
     (across, far_side), (_, near_side) = (
@@ -204,16 +204,14 @@ def _realize_saddle_node(m: CombinatorialMap, d0: int,
 
 
 def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
-    t = m.vertex_of(p)
+    t = m.vertex_index[p]
     a = m.sigma[p]
     b = m.sigma[a]
     pair = (("saddle", ("vertex", min(m.vertex_orbits[t]))),
             ("saddle", ("edge", p & ~1)))
     skipped = {p >> 1, a >> 1, b >> 1}
-    points, arcs, point = _morse_skeleton(m, "vertex", t, skipped, pair)
-    # the pair follows the sources and the sinks
-    lower = len(point["vertex"]) + len(point["face"])
-    upper = lower + 1
+    points, arcs, point, (lower, upper) = _morse_skeleton(
+        m, "vertex", t, skipped, pair)
     # the lower saddle: stable manifold is the collinear pair, one unstable
     # separatrix is the connection, the other falls into the face of the
     # corner between the collinear darts; the upper saddle: second stable
@@ -223,7 +221,7 @@ def _realize_t(m: CombinatorialMap, p: int) -> SeparatrixDiagram:
         _dart_arcs(m, point, "vertex", s, d)
         for s, d in ((lower, a ^ 1), (lower, b ^ 1), (upper, p ^ 1)))
     arcs += (in_a, in_b, Separatrix(lower, upper, p), out_a, in_far,
-             Separatrix(upper, point["face"][m.face_of(p)], p), out_far)
+             Separatrix(upper, point["face"][m.face_index[p]], p), out_far)
     return SeparatrixDiagram(tuple(points), tuple(arcs), (lower, upper))
 
 

@@ -120,13 +120,15 @@ def marked_classes(candidates, allow_reflection=True):
     return reps
 
 
-def source_class_count(e):
+def source_class_count(e, allow_reflection=True):
     """Saddle-source classes on the ``e``-edge catalog by exhaustive search:
-    the non-loop darts of each map, one per ``marked_isomorphic`` class."""
+    the non-loop darts of each map, one per ``marked_isomorphic`` class,
+    with mirror images identified unless ``allow_reflection`` is False."""
     return sum(
-        len(marked_classes(MarkedMap(m, SourceMark(d))
-                           for d in range(m.n_darts) if not m.is_loop(d)))
-        for m in generate_maps(GenerationConfig(e)))
+        len(marked_classes((MarkedMap(m, SourceMark(d))
+                            for d in range(m.n_darts) if not m.is_loop(d)),
+                           allow_reflection))
+        for m in generate_maps(GenerationConfig(e, allow_reflection)))
 
 
 def bfs_trace(sig, alpha, start):
@@ -329,10 +331,10 @@ def rooted_flows(n_edges, kind):
     out = []
     for sigma in rooted_maps(n_edges)[n_edges]:
         m = CombinatorialMap(sigma)
-        vertex, at = m.vertex_of, m.vertex_orbits[m.vertex_of(0)]
-        legal = {"source": vertex(0) != vertex(1),
-                 "sink": m.face_of(0) != m.face_of(1),
-                 "t": len(at) == 3 and all(vertex(d ^ 1) != vertex(0)
+        vertex, at = m.vertex_index, m.vertex_orbits[m.vertex_index[0]]
+        legal = {"source": vertex[0] != vertex[1],
+                 "sink": m.face_index[0] != m.face_index[1],
+                 "t": len(at) == 3 and all(vertex[d ^ 1] != vertex[0]
                                            for d in at)}[kind]
         if legal:
             fixed = rooted_relabel(_inv(sigma), int(kind == "sink")) == sigma
@@ -358,11 +360,11 @@ def far_side_edges(mm):
     edges = [(d, m.alpha[d]) for d in range(m.n_darts)
              if d < m.alpha[d] and p not in (d, m.alpha[d])]
     for d, e in edges:
-        parent[root(m.vertex_of(d))] = root(m.vertex_of(e))
-    far = root(m.vertex_of(m.alpha[p]))
-    if far == root(m.vertex_of(p)):
+        parent[root(m.vertex_index[d])] = root(m.vertex_index[e])
+    far = root(m.vertex_index[m.alpha[p]])
+    if far == root(m.vertex_index[p]):
         return 0
-    return sum(1 for d, _ in edges if root(m.vertex_of(d)) == far)
+    return sum(1 for d, _ in edges if root(m.vertex_index[d]) == far)
 
 
 _REVERSED_KIND = {"source": "sink", "sink": "source", "saddle": "saddle",

@@ -150,7 +150,7 @@ def test_criterion_3_two_saddle_census_structural():
     named = build_named_maps()
     classes = enumerate_t_marks(2)
     bigon = named["bigon_tail"]
-    bigon_darts = [d for d in bigon.vertex_orbits[bigon.vertex_of(4)] if d != 4]
+    bigon_darts = [d for d in bigon.vertex_orbits[bigon.vertex_index[4]] if d != 4]
     expected = {
         MarkedMap(named["star3"], TMark(0)).canonical_code(),
         MarkedMap(bigon, TMark(bigon_darts[0])).canonical_code(),
@@ -168,7 +168,7 @@ def splits_off_edges(mm):
     """Whether cutting the perpendicular edge strands edges on its far side:
     the edge is a bridge and its far endpoint is not a leaf."""
     m, p = mm.map, mm.mark.dart
-    return m.is_bridge(p) and len(m.vertex_orbits[m.vertex_of(m.alpha[p])]) > 1
+    return m.is_bridge(p) and len(m.vertex_orbits[m.vertex_index[m.alpha[p]]]) > 1
 
 
 def test_criterion_3_three_saddle_published_total():

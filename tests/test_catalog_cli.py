@@ -18,7 +18,11 @@ from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  entry_to_dot, export_entries,
                                  load_paper_labels, resolve)
 from sphereflows.generate import MAX_EDGES, MIN_EDGES
-from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
+from sphereflows.marks import (CONNECTED_AFTER_CUT, MAX_SADDLES,
+                               SN_MIN_SADDLES, T_MIN_SADDLES,
+                               saddle_connection_census)
+
+from oracles import source_class_count
 
 
 def run_cli(*args, cwd=None):
@@ -142,6 +146,26 @@ class TestCensusReport:
         assert report.notes[-1] == (
             "3 to 10 points: the published counts sum to 469, the abstract's "
             f"total; this run counts {total} flows")
+
+    @pytest.mark.parametrize("allow_reflection, sources, connected",
+                             [(True, 26, 20), (False, 32, 32)])
+    def test_every_note_holds_in_the_mode_it_is_printed_in(
+            self, report, allow_reflection, sources, connected):
+        if not allow_reflection:
+            report = build_census_report(allow_reflection=False)
+        seven, eight = (next(n for n in report.notes if n.startswith(start))
+                        for start in ("7 points:", "8 points:"))
+        # the exhaustive search the 7-point note cites, run in this mode
+        assert f"= {sources} source + " in seven
+        assert "exhaustive isomorphism search" in seven
+        assert source_class_count(3, allow_reflection) == sources
+        # the 8-point note claims the published 20 only where it holds
+        census = saddle_connection_census(
+            3, allow_reflection=allow_reflection)
+        assert census.by_category[CONNECTED_AFTER_CUT] == connected
+        assert f"= {connected} classes whose perpendicular edge" in eight
+        assert (("the published 20 equals the first category" in eight)
+                == (connected == PAPER_EXPECTED_FLOWS[8]))
 
     def test_report_round_trips_to_json(self, report):
         doc = json.loads(report.dumps())

@@ -91,7 +91,7 @@ class TestOrbits:
             for orbit in m.face_orbits:
                 assert all(m.sigma[m.alpha[d]] in orbit for d in orbit)
                 phi0 = m.sigma[m.alpha[orbit[0]]]
-                assert m.face_of(phi0) == m.face_of(orbit[0])
+                assert m.face_index[phi0] == m.face_index[orbit[0]]
 
     @staticmethod
     def counted_walks(monkeypatch):
@@ -110,7 +110,7 @@ class TestOrbits:
             assert len(calls) == 2
             cells = (built.vertex_orbits, built.face_orbits, built.n_vertices,
                      built.n_faces, built.degree_sequence(), repr(built),
-                     [(built.vertex_of(d), built.face_of(d), built.is_loop(d),
+                     [(built.vertex_index[d], built.face_index[d], built.is_loop(d),
                        built.is_bridge(d)) for d in range(built.n_darts)])
             assert len(calls) == 2
             assert cells[:2] == (m.vertex_orbits, m.face_orbits)
@@ -297,6 +297,12 @@ class TestCanonicalCode:
     def test_invalid_mark_dart(self, named):
         with pytest.raises(InvalidMarkError):
             named["segment"].canonical_code(SourceMark(5))
+        # a mark's code exists only where the mark is legal: a source mark
+        # on a loop, a sink mark on a bridge and a T mark at a leaf are not
+        for name, mark in (("loop", SourceMark(0)), ("segment", SinkMark(0)),
+                           ("segment", TMark(0))):
+            with pytest.raises(InvalidMarkError):
+                named[name].canonical_code(mark)
 
     def test_mirror_equivalent_by_default(self):
         for e in (1, 2, 3, 4):

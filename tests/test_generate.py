@@ -133,11 +133,11 @@ def invariants_from_orbits(child):
     degrees) if the edge is removable, else None, read off its orbits."""
     out = []
     for d in range(0, child.n_darts, 2):
-        a, b = sorted(len(child.vertex_orbits[child.vertex_of(x)])
+        a, b = sorted(len(child.vertex_orbits[child.vertex_index[x]])
                       for x in (d, d + 1))
-        fa, fb = sorted(len(child.face_orbits[child.face_of(x)])
+        fa, fb = sorted(len(child.face_orbits[child.face_index[x]])
                         for x in (d, d + 1))
-        removable = child.face_of(d) != child.face_of(d + 1) or a == 1
+        removable = child.face_index[d] != child.face_index[d + 1] or a == 1
         out.append((a, b, fa, fb) if removable else None)
     return out
 

@@ -33,7 +33,7 @@ class TestMarkLegality:
     def test_t_mark_rejects_incident_loop(self, named):
         # the segment-with-loop vertex has degree 3 but carries its loop
         m = named["segment_loop"]
-        t_darts = [d for d in range(4) if len(m.vertex_orbits[m.vertex_of(d)]) == 3]
+        t_darts = [d for d in range(4) if len(m.vertex_orbits[m.vertex_index[d]]) == 3]
         assert t_darts
         with pytest.raises(InvalidMarkError):
             MarkedMap(m, TMark(t_darts[0]))
@@ -263,7 +263,7 @@ class TestTMarks:
         classes = enumerate_t_marks(2)
         assert len(classes) == 4
         bigon = named["bigon_tail"]
-        center = bigon.vertex_of(4)
+        center = bigon.vertex_index[4]
         bigon_darts = [d for d in bigon.vertex_orbits[center] if d != 4]
         expected = {
             MarkedMap(named["star3"], TMark(0)).canonical_code(),
@@ -442,6 +442,30 @@ def test_rooted_flows_mirror_fixed_agrees_with_the_trace_oracle(kind):
     # one relabeling from the root against the least trace over all starts
     for mm, fixed in rooted_flows(4, kind):
         assert mirror_fixed(mm) == fixed, mm
+
+
+# sensed T classes with n saddles by far-side edge count k = 0, 1, ...
+# (0: the rest stays connected), from the rooted stream alone
+T_ROOTED_BY_FAR_SIDE = {2: (5,), 3: (32, 4), 4: (234, 18, 18),
+                        5: (1863, 108, 81, 108)}
+
+
+@pytest.mark.parametrize("n", sorted(T_ROOTED_BY_FAR_SIDE))
+def test_rooted_t_flows_split_by_far_side_like_the_source_flows(n):
+    # two observations, not theorems: the T classes that stay connected
+    # after the cut are as many as the source classes with n saddles, and
+    # the far side has k edges as often as it has n - 1 - k, for k >= 1
+    flows = {}
+    for flow in rooted_flows(n + 1, "t"):
+        flows.setdefault(far_side_edges(flow[0]), []).append(flow)
+    sensed = tuple(len(flows.get(k, ())) for k in range(n - 1))
+    assert sum(sensed) == sum(map(len, flows.values()))
+    assert sensed == T_ROOTED_BY_FAR_SIDE[n]
+    assert sensed[0] == len(rooted_flows(n, "source"))
+    assert sensed[1:] == sensed[:0:-1]
+    if n == 5:
+        assert [_sensed_unsensed_fixed(flows[k])[1] for k in range(4)] == [
+            1006, 76, 58, 80]
 
 
 def test_eleven_point_saddle_node_counts_agree():

@@ -49,7 +49,7 @@ def test_every_enumerated_mark_is_legal(n):
             assert not m.is_bridge(mm.mark.dart)
     if n >= 2:
         for mm in enumerate_t_marks(n):
-            t = mm.map.vertex_orbits[mm.map.vertex_of(mm.mark.dart)]
+            t = mm.map.vertex_orbits[mm.map.vertex_index[mm.mark.dart]]
             assert len(t) == 3
             assert not any(mm.map.alpha[d] in t for d in t)
 

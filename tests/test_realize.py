@@ -37,7 +37,7 @@ class TestPublishedExamples:
 
     def test_chain_central_source_five_points(self, named):
         m = named["chain2"]
-        central = [d for d in range(4) if len(m.vertex_orbits[m.vertex_of(d)]) == 2]
+        central = [d for d in range(4) if len(m.vertex_orbits[m.vertex_index[d]]) == 2]
         dia = realize(MarkedMap(m, SourceMark(central[0])))
         assert dia.n_points == 5
         assert dia.point_counts() == {"source": 2, "sink": 1, "saddle": 1,
@@ -352,8 +352,8 @@ class TestRoundTrip:
     def test_stable_manifolds_rebuild_the_map(self, n, kind):
         for mm in all_marked(n, kind):
             m = mm.map
-            expected = sorted(tuple(sorted((m.vertex_of(2 * e),
-                                            m.vertex_of(m.alpha[2 * e]))))
+            expected = sorted(tuple(sorted((m.vertex_index[2 * e],
+                                            m.vertex_index[m.alpha[2 * e]])))
                               for e in range(m.n_edges))
             got = diagram_multigraph(realize(mm))
             assert len(got) == m.n_edges

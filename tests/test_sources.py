@@ -67,6 +67,25 @@ def test_no_module_reads_an_alpha_attribute(path):
     assert reads == []
 
 
+# namedtuple's public API is spelled with a leading underscore
+NAMEDTUPLE_API = {"_asdict", "_fields", "_replace", "_make"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_an_underscore_attribute_of_another_object(path):
+    # a map's cells are public, so each fact has one spelling and no
+    # module reaches past another object's interface
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+             and not (node.attr.startswith("__") and node.attr.endswith("__"))
+             and node.attr not in NAMEDTUPLE_API
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id in ("self", "cls", "other"))]
+    assert reads == []
+
+
 RANGE_ERRORS = {"EdgeCountOutOfRangeError", "SaddleCountOutOfRangeError"}
 
 
