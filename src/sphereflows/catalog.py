@@ -135,6 +135,8 @@ class CatalogEntry(namedtuple(
             raise TypeError(f"entry singular_points {points!r} is not an "
                             "object of integer counts")
         values = {field: d[field] for field in cls._fields}
+        if len(d) != len(values):
+            raise TypeError(f"entry fields {sorted(d)} are not {cls._fields}")
         values["degree_sequence"] = tuple(values["degree_sequence"])
         return cls(**values)
 

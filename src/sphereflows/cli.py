@@ -3,12 +3,13 @@
 Exit codes: 0 on success, 2 on usage errors (bad arguments, unknown codes,
 unsupported formats, out-of-range counts, unreadable catalogs or codes,
 unwritable output paths), 1 when an enumerated object fails its own
-structural checks.
+structural checks or standard output closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -37,6 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")
+
+    def print_help(self, file=None):
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
 
 
 def _common_flags(sub):
@@ -155,12 +159,16 @@ def cmd_export(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "jobs", 1) < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # stdout closed: devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UsageError, EdgeCountOutOfRangeError,
             SaddleCountOutOfRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ codes: the lexicographic minimum, over all start darts and (if allowed) both
 orientations, of a breadth-first relabeling trace.  One kernel computes it,
 comparing each start's trace with the least so far while emitting it and
 abandoning the start at its first larger entry; it returns the least trace
-and every start that attains it.  ``canonical_code_for`` is its one entry
+and every start that attains it.  ``canonical_code_for`` is the kernel
 and returns the code with those winning starts.  A mark's code is that
 trace followed by the least mark value over the winners, so one kernel run
 per map and reflection mode serves the map and every mark on it; grow
@@ -42,36 +42,22 @@ class InvalidMarkError(ValueError):
 # ---------------------------------------------------------------------------
 # permutation helpers
 
-def perm_inverse(p: Sequence[int]) -> tuple:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
 def perm_orbits(p: Sequence[int]) -> tuple:
-    """Orbits of a permutation, each in cycle order starting at its minimum."""
-    n = len(p)
-    seen = bytearray(n)
-    out = []
-    for d in range(n):
-        if not seen[d]:
+    """``(orbits, index)`` of a permutation: each orbit in cycle order from
+    its minimum, and ``index[x]``, the position of the orbit of ``x``."""
+    index = [-1] * len(p)
+    orbits = []
+    for d in range(len(p)):
+        if index[d] < 0:
+            i = len(orbits)
             orb = []
             x = d
-            while not seen[x]:
-                seen[x] = 1
+            while index[x] < 0:
+                index[x] = i
                 orb.append(x)
                 x = p[x]
-            out.append(tuple(orb))
-    return tuple(out)
-
-
-def _orbit_index(orbits, n: int) -> tuple:
-    idx = [0] * n
-    for i, orb in enumerate(orbits):
-        for d in orb:
-            idx[d] = i
-    return tuple(idx)
+            orbits.append(tuple(orb))
+    return tuple(orbits), tuple(index)
 
 
 def normal_alpha(n_edges: int) -> tuple:
@@ -104,15 +90,15 @@ def reached(sigma, start: int, seen: set) -> set:
 
 
 def _sphere_cells(sigma):
-    """``(failures, vertex cycles, face cycles)`` of a pair-normal rotation
-    system: the cycles of ``sigma`` and ``sigma∘alpha`` by
+    """``(failures, vertices, faces)`` of a pair-normal rotation system: the
+    ``(orbits, index)`` of ``sigma`` and of ``sigma∘alpha`` by
     :func:`perm_orbits`, and which of "NotConnected" and "NotSpherical" the
     system violates."""
     vertices = perm_orbits(sigma)
     faces = perm_orbits([sigma[d ^ 1] for d in range(len(sigma))])
     failures = ([] if len(reached(sigma, 0, set())) == len(sigma)
                 else ["NotConnected"])
-    if len(vertices) - len(sigma) // 2 + len(faces) != 2:
+    if len(vertices[0]) - len(sigma) // 2 + len(faces[0]) != 2:
         failures.append("NotSpherical")
     return failures, vertices, faces
 
@@ -225,8 +211,9 @@ class CanonicalCode(NamedTuple):
         return CombinatorialMap(self.sigma_images, self.alpha_images)
 
 
-def _least_trace(sigma, allow_reflection: bool = True):
-    """The least BFS relabeling trace of a connected map, and who attains it.
+def canonical_code_for(sigma, allow_reflection: bool):
+    """Unmarked canonical code of a connected map given by its pair-normal
+    rotation ``sigma``: its least BFS relabeling trace, and who attains it.
 
     From a start dart, darts are labeled in first-visit order of a
     breadth-first walk that visits a dart's rotation successor before its
@@ -237,15 +224,18 @@ def _least_trace(sigma, allow_reflection: bool = True):
     win are walked to the end.  Starts range over all darts and, with
     ``allow_reflection``, also over the reversed rotation ``sigma^-1``.
 
-    Returns ``(trace, winners)``: the least trace as a tuple, and the
-    ``(reflected, labels)`` of every start that attains it (one per
-    automorphism of the map, orientation-reversing ones included when
-    reflection is allowed).
+    Returns ``(code, winners)``: the least trace split into the code's two
+    label rows, and the ``(reflected, labels)`` of every start that attains
+    it, one per automorphism, orientation-reversing ones included when
+    reflection is allowed.  Marks and grow's new-edge test read the winners.
     """
     n = len(sigma)
     orientations = [(False, sigma)]
     if allow_reflection:
-        orientations.append((True, perm_inverse(sigma)))
+        inverse = [0] * n
+        for d, x in enumerate(sigma):
+            inverse[x] = d
+        orientations.append((True, inverse))
     best = None
     winners = []
     for reflected, sig in orientations:
@@ -292,22 +282,8 @@ def _least_trace(sigma, allow_reflection: bool = True):
                         raise ValueError("canonical codes need a connected map")
                     best = trace
                     winners = [(reflected, labels)]
-    return tuple(best), winners
-
-
-def canonical_code_for(sigma, allow_reflection: bool):
-    """Unmarked canonical code of a connected map given by its pair-normal
-    rotation ``sigma``, and the starts that attain it.
-
-    This is the one entry into the kernel :func:`_least_trace`.  Returns
-    ``(code, winners)``: the least BFS relabeling trace over all start darts
-    and, with ``allow_reflection``, both orientations, split into the
-    code's two label rows, and the ``(reflected, labels)`` of every start
-    that attains it, one per automorphism.  A mark's code and grow's test
-    of a new edge are read off the winners without another kernel run.
-    """
-    trace, winners = _least_trace(sigma, allow_reflection)
-    return CanonicalCode(len(sigma) // 2, trace[0::2], trace[1::2]), winners
+    return (CanonicalCode(n // 2, tuple(best[0::2]), tuple(best[1::2])),
+            winners)
 
 
 def parse_token(token: str, maps: dict):
@@ -432,12 +408,11 @@ class CombinatorialMap:
         the vertex it leaves and ``face_index[d]`` of the face to its left.
         Raise ValueError naming the failures unless the map is connected
         and spherical; the constructor runs it once."""
-        failures, self.vertex_orbits, self.face_orbits = _sphere_cells(
-            self._sigma)
+        failures, vertices, faces = _sphere_cells(self._sigma)
         if failures:
             raise ValueError(f"invalid map: {', '.join(failures)}")
-        self.vertex_index = _orbit_index(self.vertex_orbits, self.n_darts)
-        self.face_index = _orbit_index(self.face_orbits, self.n_darts)
+        self.vertex_orbits, self.vertex_index = vertices
+        self.face_orbits, self.face_index = faces
 
     @property
     def n_vertices(self) -> int:

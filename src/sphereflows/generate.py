@@ -82,12 +82,6 @@ def _rooted_rotations(n_edges: int):
     return fill(0, 2)
 
 
-def _brute(cfg: GenerationConfig):
-    return {canonical_code_for(sigma, cfg.allow_reflection)[0]
-            for sigma in _rooted_rotations(cfg.n_edges)
-            if not sphere_failures(sigma)}
-
-
 def _augmentations(m: CombinatorialMap):
     """Every way to add one edge to the valid map ``m``, with its gate.
 
@@ -233,7 +227,9 @@ def generate_maps(cfg: GenerationConfig, strategy: str = "grow"):
     key = (cfg.n_edges, cfg.allow_reflection, strategy)
     if key not in _cache:
         if strategy == "brute" or cfg.n_edges == 1:
-            codes = _brute(cfg)
+            codes = {canonical_code_for(sigma, cfg.allow_reflection)[0]
+                     for sigma in _rooted_rotations(cfg.n_edges)
+                     if not sphere_failures(sigma)}
         else:
             parents = generate_maps(
                 GenerationConfig(cfg.n_edges - 1, cfg.allow_reflection, cfg.jobs),

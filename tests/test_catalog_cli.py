@@ -25,12 +25,13 @@ from sphereflows.marks import (CONNECTED_AFTER_CUT, MAX_SADDLES,
 from oracles import source_class_count
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE, **env):
     # an absolute path, so that the package imports from any cwd
-    env = dict(os.environ,
+    env = dict(os.environ, **env,
                PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
     return subprocess.run([sys.executable, "-m", "sphereflows", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +323,39 @@ class TestCli:
         assert res.stderr.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("maps", "1", "--out", "out.json"),
+        ("bifurcations", "saddle-node", "2", "--out", "out.json"),
+        ("verify-paper", "--out", "out.json"),
+        ("export", "CATALOG", "--format", "json", "--out", "out.json"),
+        ("--help",),
+    ], ids=lambda argv: argv[0])
+    def test_closed_stdout_exits_1_quietly(self, argv, unbuffered, tmp_path,
+                                           bifs2):
+        # stdout is a pipe whose read end is closed before the run starts,
+        # so the first write or flush fails however stdout is buffered
+        catalog_path = tmp_path / "n2.json"
+        catalog_path.write_text(bifs2.dumps())
+        args = [str(catalog_path) if a == "CATALOG" else a for a in argv]
+        for run in ("open", "closed"):
+            (tmp_path / run).mkdir()
+        normal = run_cli(*args, cwd=tmp_path / "open",
+                         PYTHONUNBUFFERED=unbuffered)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = run_cli(*args, cwd=tmp_path / "closed", stdout=write,
+                          PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert (normal.returncode, res.returncode, res.stderr) == (0, 1, "")
+        files = {run: [p.read_bytes() for p in (tmp_path / run).iterdir()]
+                 for run in ("open", "closed")}
+        assert files["closed"] == files["open"]
+        assert len(files["open"]) == (argv[0] != "--help")
+
     def test_export_dot(self, tmp_path):
         catalog_path = tmp_path / "m2.json"
         run_cli("maps", "2", "--out", str(catalog_path))
@@ -599,6 +633,7 @@ MISTYPED_FIELDS = {
     "paper_label-null": ("paper_label", None),
     "paper_label-other": ("paper_label", "Fig3:4"),
     "paper_label-int": ("paper_label", 3),
+    "unknown-field": ("colour", "red"),
 }
 
 

@@ -1,5 +1,4 @@
 import random
-import sys
 
 import pytest
 
@@ -8,9 +7,8 @@ import sphereflows.generate as gen
 from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          InvalidMarkError, MarkedMap, SinkMark, SourceMark,
                          TMark, flow_classes, generate_maps, realize)
-from sphereflows.catalog import build_census_report
-from sphereflows.combmap import (_least_trace, canonical_code_for,
-                                 normal_alpha, sphere_failures)
+from sphereflows.combmap import (canonical_code_for, normal_alpha,
+                                 sphere_failures)
 
 from oracles import all_traces, maps_isomorphic, mirror, relabel
 
@@ -185,8 +183,8 @@ class TestLeastTraceKernel:
         for m in with_scrambled_copies(maps, seed=e):
             traces = all_traces(m, reflection)
             least = min(t for t, _, _ in traces)
-            trace, winners = _least_trace(m.sigma, reflection)
-            assert trace == least
+            code, winners = canonical_code_for(m.sigma, reflection)
+            assert code == CanonicalCode(e, least[0::2], least[1::2])
             expected = sorted((r, labels) for t, r, labels in traces
                               if t == least)
             # one winning start per automorphism: dropping a tying start
@@ -207,32 +205,10 @@ class TestLeastTraceKernel:
                                          (mark.kind, best[-1]))
                 assert m.canonical_code(mark, reflection) == expected, mark
 
-    def test_every_kernel_run_goes_through_canonical_code_for(self, monkeypatch):
-        # both are wrapped wherever they were imported, as the benchmark's
-        # traced replay wraps canonical_code_for, so that the replay's count
-        # of canonical codes is the count of kernel runs
-        calls = {"_least_trace": 0, "canonical_code_for": 0}
-        modules = [mod for name, mod in sys.modules.items()
-                   if name.split(".")[0] == "sphereflows"]
-        for name in calls:
-            fn = getattr(combmap, name)
-
-            def counted(*args, _fn=fn, _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-
-            for mod in modules:
-                for key, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, key, counted)
-        monkeypatch.setattr(gen, "_cache", {})
-        build_census_report()
-        generate_maps(GenerationConfig(3), strategy="brute")
-        assert calls["canonical_code_for"] == calls["_least_trace"] > 0
-
-    def test_disconnected_map_has_no_code(self):
-        with pytest.raises(ValueError):
-            canonical_code_for((0, 1, 2, 3), True)
+    @pytest.mark.parametrize("reflection", [True, False])
+    def test_disconnected_map_has_no_code(self, reflection):
+        with pytest.raises(ValueError, match="need a connected map"):
+            canonical_code_for((0, 1, 2, 3), reflection)
 
 
 class TestCanonicalCode:

@@ -14,7 +14,8 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
 from sphereflows.catalog import (Catalog, CatalogEntry,
                                  build_bifurcation_catalog, build_map_catalog,
                                  export_entries, json_text)
-from sphereflows.combmap import normal_alpha, parse_token, sphere_failures
+from sphereflows.combmap import (normal_alpha, parse_token, perm_orbits,
+                                 sphere_failures)
 
 from oracles import relabel
 
@@ -154,6 +155,20 @@ def test_random_rotation_system_lands_in_the_catalog(e, data):
         matches = [c for c in catalog(e)
                    if m.canonical_code() == c.canonical_code()]
         assert len(matches) == 1
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.permutations(range(n))))
+@settings(max_examples=200, deadline=None)
+def test_perm_orbits_partition_and_number_the_points(p):
+    orbits, index = perm_orbits(p)
+    assert sorted(x for orbit in orbits for x in orbit) == list(range(len(p)))
+    for i, orbit in enumerate(orbits):
+        assert orbit[0] == min(orbit)
+        # each orbit follows p and closes at its start
+        assert [p[x] for x in orbit] == [*orbit[1:], orbit[0]]
+        assert all(index[x] == i for x in orbit)
+    assert len(index) == len(p)
 
 
 @cache

@@ -1,6 +1,8 @@
 """Static checks on the package's own source files, by the stdlib's ``ast``."""
 
 import ast
+import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,65 @@ def test_only_main_catches_the_count_range_errors():
                and {node.id for node in ast.walk(handler.type)
                     if isinstance(node, ast.Name)} & RANGE_ERRORS]
     assert catches == []
+
+
+ROLE = re.compile(r":(?:func|meth|attr|class|mod):`([^`]+)`")
+
+
+def _defined(body) -> set:
+    """The names the statements ``body`` define at their own level."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names |= {t.id for t in ast.walk(node)
+                      if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+    return names
+
+
+def _targets(tree) -> set:
+    """What a docstring of the module may cross-reference: its module-level
+    names, and the attributes of each class it defines, bare and as
+    ``Class.attr``; an attribute is a name the class body defines or one
+    its methods assign on ``self``."""
+    names = _defined(tree.body) | set(_imported(tree))
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            attrs = _defined(cls.body) | {
+                t.attr for t in ast.walk(cls)
+                if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
+                and isinstance(t.value, ast.Name) and t.value.id == "self"}
+            names |= attrs | {f"{cls.name}.{attr}" for attr in attrs}
+    return names
+
+
+def _is_module(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ModuleNotFoundError:
+        return False
+
+
+def _unresolved_references(source: str, name: str) -> list:
+    """Each ``:role:`target``` in a docstring of ``source`` that names no
+    module and nothing :func:`_targets` lists."""
+    tree = ast.parse(source)
+    targets = _targets(tree)
+    return [f"{name}:{getattr(node, 'lineno', 1)} {match.group(0)}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            for match in ROLE.finditer(ast.get_docstring(node) or "")
+            if match.group(1) not in targets and not _is_module(match.group(1))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_cross_references_resolve(path):
+    assert _unresolved_references(path.read_text(), path.name) == []
+
+
+def test_a_stale_cross_reference_is_caught():
+    source = ('def kernel():\n'
+              '    """Runs :func:`_retired`, not :func:`kernel`."""\n')
+    assert _unresolved_references(source, "m.py") == [
+        "m.py:1 :func:`_retired`"]
