@@ -20,9 +20,9 @@ from importlib import resources
 from typing import NamedTuple, Optional
 
 from .combmap import CanonicalCode, CombinatorialMap, parse_token
-from .generate import GenerationConfig, generate_maps
-from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                    FAR_SIDE_TWO_EDGES, MARK_CLASSES, MarkedMap,
+from .generate import MIN_EDGES, GenerationConfig, generate_maps
+from .marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE, FAR_SIDE_TWO_EDGES,
+                    MARK_CLASSES, SN_MIN_SADDLES, T_MIN_SADDLES, MarkedMap,
                     enumerate_source_marks, flow_classes,
                     saddle_connection_census, saddle_node_census)
 from .realize import Separatrix, SingularPoint, realize
@@ -183,11 +183,17 @@ class Catalog(NamedTuple):
             version = doc["schema_version"]
             if type(version) is not int or version != SCHEMA_VERSION:
                 raise ValueError(f"unsupported schema_version {version!r}")
-            params = doc["params"]
+            kind, params, entries = doc["catalog"], doc["params"], doc["entries"]
             if type(params) is not dict:
                 raise TypeError(f"params {params!r} is not an object")
-            return cls(doc["catalog"], dict(params), tuple(
-                CatalogEntry.from_dict(d) for d in doc["entries"]))
+            count = {"maps": "n_edges", "saddle-node": "n_saddles",
+                     "saddle-connection": "n_saddles"}.get(kind)
+            if (len(doc), set(params), type(entries)) != (
+                    4, {count, "allow_reflection"}, list):
+                raise TypeError(f"{kind!r} catalog keys {sorted(doc)}, params "
+                                f"{sorted(params)} or entries are not the writer's")
+            return cls(kind, dict(params), tuple(
+                CatalogEntry.from_dict(d) for d in entries))
         except (AttributeError, KeyError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed catalog: {exc!r}") from exc
 
@@ -326,7 +332,7 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
     notes = []
 
     maps = {e: generate_maps(GenerationConfig(e, allow_reflection))
-            for e in range(1, PAPER_MAX_SADDLES + 2)}
+            for e in range(MIN_EDGES, PAPER_MAX_SADDLES + 2)}
     for e, maps_e in maps.items():
         rows.append(ReportRow("spherical maps", f"{e}-edge maps", len(maps_e),
                               PAPER_EXPECTED_MAPS.get(e)))
@@ -337,9 +343,9 @@ def build_census_report(allow_reflection: bool = True) -> CensusReport:
             "38 four-edge graphs is incomplete")
 
     sn = {n: saddle_node_census(n, allow_reflection=allow_reflection)
-          for n in range(1, PAPER_MAX_SADDLES + 1)}
+          for n in range(SN_MIN_SADDLES, PAPER_MAX_SADDLES + 1)}
     sc = {n: saddle_connection_census(n, allow_reflection=allow_reflection)
-          for n in range(2, PAPER_MAX_SADDLES + 1)}
+          for n in range(T_MIN_SADDLES, PAPER_MAX_SADDLES + 1)}
 
     flows = [(4, "flows with four singular points (impossible)", 0)] + [
         (c.singular_points, f"{kind} flows, {n} saddle{'s' if n > 1 else ''}",
@@ -428,26 +434,20 @@ def entry_to_dot(entry: CatalogEntry, flow) -> str:
     line per map edge.  ``flow`` is what ``resolve`` makes of the entry.
     """
     m, mark = flow
-    mark_kind, mark_dart = (None, None) if mark is None else (mark.kind, mark.dart)
+    marked = {}  # mark text by vertex name and by edge number
+    if mark is not None:
+        d = mark.dart
+        v, f, e = f"v{m.vertex_index[d]}", f"f{m.face_index[d]}", d >> 1
+        marked = {"source": {v: "source endpoint", e: f"source endpoint={v}"},
+                  "sink": {e: f"sink face={f}"},
+                  "t": {v: "t-vertex", e: f"t perpendicular, vertex={v}"}}[mark.kind]
+    attr = {key: f', mark="{text}"' for key, text in marked.items()}
     lines = [f'graph "{entry.code}" {{']
     for i, orbit in enumerate(m.vertex_orbits):
-        attrs = f"degree={len(orbit)}"
-        if mark_kind == "t" and i == m.vertex_index[mark_dart]:
-            attrs += ', mark="t-vertex"'
-        if mark_kind == "source" and i == m.vertex_index[mark_dart]:
-            attrs += ', mark="source endpoint"'
-        lines.append(f"  v{i} [{attrs}];")
+        lines.append(f"  v{i} [degree={len(orbit)}{attr.get(f'v{i}', '')}];")
     for e in range(m.n_edges):
-        d = 2 * e
-        attrs = f"edge={e}"
-        if mark_dart is not None and mark_dart >> 1 == e:
-            if mark_kind == "source":
-                attrs += f', mark="source endpoint=v{m.vertex_index[mark_dart]}"'
-            elif mark_kind == "sink":
-                attrs += f', mark="sink face=f{m.face_index[mark_dart]}"'
-            else:
-                attrs += f', mark="t perpendicular, vertex=v{m.vertex_index[mark_dart]}"'
-        lines.append(f"  v{m.vertex_index[d]} -- v{m.vertex_index[d + 1]} [{attrs}];")
+        lines.append(f"  v{m.vertex_index[2 * e]} -- v{m.vertex_index[2 * e + 1]}"
+                     f" [edge={e}{attr.get(e, '')}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,6 +19,8 @@ turn sensed class counts into unsensed ones.
 ``rooted_maps`` builds the rooted planar maps level by level from Tutte's
 root-edge decomposition, with no canonical code and no enumeration shared
 with the brute strategy.
+``map_classes`` counts the sensed and unsensed classes of planar maps off
+those rooted maps, with no canonical code.
 ``rooted_flows`` lists the sensed flow classes of one mark kind as rooted
 maps, each with whether its mirror image is the same class, so the census
 counts follow without the canonical-labeling kernel.
@@ -30,6 +32,8 @@ diagram of the dual map, the reference for realizing it on its own map.
 
 ``perm_from_cycles``, ``relabel`` and ``mirror`` build test inputs: maps
 from cycle notation, dart renamings and orientation reversals.
+``SADDLE_COUNTS_OUT_OF_RANGE`` holds each bifurcation kind's saddle counts
+just outside its supported range, with the message the range check gives.
 """
 
 import math
@@ -40,6 +44,14 @@ from sphereflows import (CombinatorialMap, GenerationConfig, MarkedMap,
                          Separatrix, SeparatrixDiagram, SingularPoint,
                          SinkMark, SourceMark, TMark, generate_maps, realize,
                          reverse)
+from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
+
+SADDLE_COUNTS_OUT_OF_RANGE = [
+    (kind, n, f"{what} need {low}..{MAX_SADDLES} saddles, got {n}")
+    for kind, what, low in (
+        ("saddle-node", "saddle-node flows", SN_MIN_SADDLES),
+        ("saddle-connection", "saddle connections", T_MIN_SADDLES))
+    for n in (low - 1, MAX_SADDLES + 1)]
 
 
 def _inv(p):
@@ -309,6 +321,24 @@ def rooted_maps(n):
                 level.append(rooted_relabel(sigma, x))
         levels.append(tuple(level))
     return tuple(levels)
+
+
+def map_classes(n_edges):
+    """Sensed and unsensed classes of planar maps with ``n_edges`` edges
+    (Liskovets, "A census of nonisomorphic planar maps", 1981).
+
+    A sensed class is the rooted map that is least among all its
+    re-rootings by ``rooted_relabel``, and an unsensed class is one that is
+    also not above any re-rooting of its mirror image ``sigma^-1``.
+    """
+    sensed = unsensed = 0
+    for sigma in rooted_maps(n_edges)[n_edges]:
+        darts = range(len(sigma))
+        if all(sigma <= rooted_relabel(sigma, r) for r in darts):
+            sensed += 1
+            mirror = _inv(sigma)
+            unsensed += all(sigma <= rooted_relabel(mirror, r) for r in darts)
+    return sensed, unsensed
 
 
 _ROOT_MARK = {"source": SourceMark, "sink": SinkMark, "t": TMark}

@@ -9,7 +9,7 @@ import pytest
 
 import sphereflows
 from sphereflows import (GenerationConfig, MarkedMap, SinkMark, SourceMark,
-                         TMark, cli, generate_maps, realize)
+                         TMark, cli, flow_classes, generate_maps, realize)
 from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
                                  PAPER_MAX_SADDLES, UnknownCodeError,
                                  UnsupportedFormatError,
@@ -22,7 +22,7 @@ from sphereflows.marks import (CONNECTED_AFTER_CUT, MAX_SADDLES,
                                SN_MIN_SADDLES, T_MIN_SADDLES,
                                saddle_connection_census)
 
-from oracles import source_class_count
+from oracles import SADDLE_COUNTS_OUT_OF_RANGE, source_class_count
 
 
 def run_cli(*args, cwd=None, stdout=subprocess.PIPE, **env):
@@ -230,20 +230,15 @@ class TestCli:
         assert "4 saddle-connection classes" in res.stdout
 
     def test_bifurcations_out_of_range_exits_2(self, tmp_path):
-        res = run_cli("bifurcations", "saddle-connection", "1", cwd=tmp_path)
+        res = run_cli("bifurcations", "saddle-connection",
+                      str(T_MIN_SADDLES - 1), cwd=tmp_path)
         assert res.returncode == 2
 
     @pytest.mark.parametrize("argv, message", [
-        (("maps", "0"), "n_edges must be in 1..5, got 0"),
-        (("maps", "6"), "n_edges must be in 1..5, got 6"),
-        (("bifurcations", "saddle-node", "0"),
-         "saddle-node flows need 1..4 saddles, got 0"),
-        (("bifurcations", "saddle-node", "5"),
-         "saddle-node flows need 1..4 saddles, got 5"),
-        (("bifurcations", "saddle-connection", "1"),
-         "saddle connections need 2..4 saddles, got 1"),
-        (("bifurcations", "saddle-connection", "5"),
-         "saddle connections need 2..4 saddles, got 5"),
+        *((("maps", str(e)), f"n_edges must be in {MIN_EDGES}..{MAX_EDGES}, "
+                             f"got {e}") for e in (MIN_EDGES - 1, MAX_EDGES + 1)),
+        *((("bifurcations", kind, str(n)), message)
+          for kind, n, message in SADDLE_COUNTS_OUT_OF_RANGE),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
     def test_count_out_of_range_exits_2_with_its_message(
             self, argv, message, tmp_path, monkeypatch, capsys):
@@ -251,6 +246,29 @@ class TestCli:
         assert cli.main(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("defect", ["check", "point-count"])
+    def test_diagram_failing_its_check_exits_1(self, defect, tmp_path,
+                                               monkeypatch, capsys):
+        # a diagram that misses an arc, or one of a two-saddle flow, for a
+        # one-saddle class: the catalog's self-test refuses to write either
+        other = realize(flow_classes("saddle-node", 2)[0])
+
+        def broken(mm):
+            dia = realize(mm)
+            return (dia._replace(separatrices=dia.separatrices[1:])
+                    if defect == "check" else other)
+
+        monkeypatch.setattr("sphereflows.catalog.realize", broken)
+        out = tmp_path / "out.json"
+        argv = ["bifurcations", "saddle-node", "1", "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            "internal invariant violation: diagram of E:")
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
@@ -637,6 +655,22 @@ MISTYPED_FIELDS = {
 }
 
 
+# document keys other than the writer's: entries that are no list, a key
+# the format does not define at the top level or in params, params without
+# the saddle count or with the maps' edge count, and a kind the writer does
+# not write
+DOCUMENT_KEYS = {
+    "entries-object": lambda doc: doc.update(entries={}),
+    "unknown-top-level-key": lambda doc: doc.update(colour="red"),
+    "unknown-params-key": lambda doc: doc["params"].update(colour="red"),
+    "params-without-n_saddles": lambda doc: doc["params"].pop("n_saddles"),
+    "params-empty": lambda doc: doc.update(params={}),
+    "params-n_edges": lambda doc: doc["params"].update(
+        n_edges=doc["params"].pop("n_saddles")),
+    "catalog-bogus": lambda doc: doc.update(catalog="bogus"),
+}
+
+
 # entries listed other than once each in increasing code order: the first
 # one twice, or the first two swapped
 DISORDERED = {
@@ -646,7 +680,8 @@ DISORDERED = {
 
 
 @pytest.mark.parametrize("damage",
-                         [*MISTYPED_FIELDS, *DISORDERED, "deeply-nested"])
+                         [*MISTYPED_FIELDS, *DOCUMENT_KEYS, *DISORDERED,
+                          "deeply-nested"])
 def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
     doc = json.loads(bifs2.dumps())
     entry = doc["entries"][0]
@@ -658,6 +693,9 @@ def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
         # deeper than json.loads recurses; at 900 levels it parses, and the
         # list is then rejected as not a catalog
         text, prefix = "[" * 1000 + "]" * 1000, malformed + "RecursionError("
+    elif damage in DOCUMENT_KEYS:
+        DOCUMENT_KEYS[damage](doc)
+        text, prefix = json.dumps(doc), malformed + "TypeError("
     elif damage in DISORDERED:
         doc["entries"] = DISORDERED[damage](doc["entries"])
         text = json.dumps(doc)

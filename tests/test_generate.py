@@ -7,9 +7,10 @@ import sphereflows.generate as gen
 from sphereflows import (CombinatorialMap, EdgeCountOutOfRangeError,
                          GenerationConfig, generate_maps)
 from sphereflows.combmap import normal_alpha, sphere_failures
+from sphereflows.generate import MAX_EDGES, MIN_EDGES
 
-from oracles import (all_traces, rooted_any_genus, rooted_count, rooted_maps,
-                     rooted_sum, tutte_rooted)
+from oracles import (all_traces, map_classes, rooted_any_genus, rooted_count,
+                     rooted_maps, rooted_sum, tutte_rooted)
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -238,6 +239,18 @@ def test_six_edge_level_reproduces_rooted_map_number():
     assert rooted_sum(six_edge_maps(False)) == tutte_rooted(6) == 24057
 
 
+def test_map_classes_count_rooted_maps():
+    # each class is found among the rooted maps as its least re-rooting, so
+    # no canonical code is computed on the oracle side
+    sensed, unsensed = zip(*map(map_classes, range(1, 7)))
+    assert sensed == (2, 4, 14, 57, 312, 2071)  # OEIS A000087
+    assert unsensed == (2, 4, 14, 52, 248, 1416)  # OEIS A006384
+    for reflection, counts in ((False, sensed), (True, unsensed)):
+        engine = [generate_maps(GenerationConfig(e, reflection))
+                  for e in range(1, 6)]
+        assert (*map(len, engine), len(six_edge_maps(reflection))) == counts
+
+
 def test_unknown_strategy():
     with pytest.raises(ValueError):
         generate_maps(GenerationConfig(2), strategy="magic")
@@ -245,7 +258,7 @@ def test_unknown_strategy():
         generate_maps(GenerationConfig(2), strategy="auto")
 
 
-@pytest.mark.parametrize("e", [0, 6, -1])
+@pytest.mark.parametrize("e", [MIN_EDGES - 1, MAX_EDGES + 1, -1])
 def test_edge_count_out_of_range(e):
     with pytest.raises(EdgeCountOutOfRangeError):
         GenerationConfig(e)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,10 +12,17 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          saddle_connection_census, saddle_node_census,
                          t_connection_category)
 from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                               FAR_SIDE_TWO_EDGES)
+                               FAR_SIDE_TWO_EDGES, _mark_classes)
 
-from oracles import (far_side_edges, marked_classes, mirror_fixed, relabel,
-                     rooted_flows, sensed_source_classes, source_class_count)
+from oracles import (SADDLE_COUNTS_OUT_OF_RANGE, far_side_edges,
+                     marked_classes, mirror_fixed, relabel, rooted_flows,
+                     sensed_source_classes, source_class_count)
+from test_generate import six_edge_maps
+
+
+def out_of_range(kind):
+    """The saddle counts just outside ``kind``'s supported range."""
+    return [n for k, n, _ in SADDLE_COUNTS_OUT_OF_RANGE if k == kind]
 
 
 class TestMarkLegality:
@@ -170,12 +178,7 @@ class TestFlowClasses:
         with pytest.raises(ValueError):
             flow_classes("spiral", 2)
 
-    @pytest.mark.parametrize("kind,n,message", [
-        ("saddle-node", 0, "saddle-node flows need 1..4 saddles, got 0"),
-        ("saddle-node", 5, "saddle-node flows need 1..4 saddles, got 5"),
-        ("saddle-connection", 1, "saddle connections need 2..4 saddles, got 1"),
-        ("saddle-connection", 5, "saddle connections need 2..4 saddles, got 5"),
-    ])
+    @pytest.mark.parametrize("kind,n,message", SADDLE_COUNTS_OUT_OF_RANGE)
     def test_out_of_range(self, kind, n, message):
         with pytest.raises(SaddleCountOutOfRangeError) as exc:
             flow_classes(kind, n)
@@ -252,7 +255,7 @@ class TestSaddleNodeCensus:
         # side follows through the duality bijection, tested separately)
         assert source_class_count(4) == 163
 
-    @pytest.mark.parametrize("n", [0, 5])
+    @pytest.mark.parametrize("n", out_of_range("saddle-node"))
     def test_out_of_range(self, n):
         with pytest.raises(SaddleCountOutOfRangeError):
             saddle_node_census(n)
@@ -319,7 +322,7 @@ class TestTMarks:
         mm = MarkedMap(named["star3"], TMark(0))
         assert t_connection_category(mm) == CONNECTED_AFTER_CUT
 
-    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("n", out_of_range("saddle-connection"))
     def test_out_of_range(self, n):
         with pytest.raises(SaddleCountOutOfRangeError):
             enumerate_t_marks(n)
@@ -420,15 +423,19 @@ def test_saddle_node_census_counts_rooted_flows(kind, n):
         assert getattr(census, f"total_{kind}") == counts[i]
 
 
+def _by_category(flows):
+    """``_sensed_unsensed_fixed`` of rooted T flows per census category."""
+    return {category: _sensed_unsensed_fixed(
+                [f for f in flows if min(far_side_edges(f[0]), 2) == far])
+            for far, category in enumerate(FAR_SIDE_CATEGORY)}
+
+
 @pytest.mark.parametrize("n", sorted(T_ROOTED_COUNTS))
 def test_saddle_connection_census_counts_rooted_flows(n):
     flows = rooted_flows(n + 1, "t")
     counts = _sensed_unsensed_fixed(flows)
     assert counts == T_ROOTED_COUNTS[n]
-    by_category = {
-        category: _sensed_unsensed_fixed(
-            [f for f in flows if min(far_side_edges(f[0]), 2) == far])
-        for far, category in enumerate(FAR_SIDE_CATEGORY)}
+    by_category = _by_category(flows)
     if n == 4:
         assert by_category == T4_ROOTED_BY_CATEGORY
     for i, reflection in enumerate((False, True)):
@@ -479,3 +486,23 @@ def test_eleven_point_saddle_node_counts_agree():
         for enumerate_marks in (enumerate_source_marks, enumerate_sink_marks):
             assert sum(len(enumerate_marks(m, allow_reflection=reflection))
                        for m in maps) == count, (enumerate_marks, reflection)
+
+
+# sensed, unsensed and mirror-fixed T classes with 5 saddles by category
+T5_ROOTED_BY_CATEGORY = {CONNECTED_AFTER_CUT: (1863, 1006, 149),
+                         FAR_SIDE_ONE_EDGE: (108, 76, 44),
+                         FAR_SIDE_TWO_EDGES: (189, 138, 87)}
+
+
+def test_twelve_point_saddle_connection_counts_agree():
+    # five saddles, one past the census limit: the T classes over the grown
+    # six-edge maps against the rooted-map stream and Burnside's lemma
+    flows = rooted_flows(6, "t")
+    assert _sensed_unsensed_fixed(flows) == (2160, 1220, 280)
+    by_category = _by_category(flows)
+    assert by_category == T5_ROOTED_BY_CATEGORY
+    for i, reflection in enumerate((False, True)):
+        engine = Counter(t_connection_category(mm)
+                         for m in six_edge_maps(reflection)
+                         for mm in _mark_classes(m, TMark, reflection))
+        assert engine == {c: v[i] for c, v in by_category.items()}
