@@ -127,9 +127,7 @@ class CatalogEntry(namedtuple(
 
     @classmethod
     def from_dict(cls, d: dict) -> "CatalogEntry":
-        mark, points = d["mark"], d["singular_points"]
-        if mark is not None and type(mark) is not dict:
-            raise TypeError(f"entry mark {mark!r} is neither null nor an object")
+        points = d["singular_points"]
         if type(points) is not dict or not all(
                 type(v) is int for v in points.values()):
             raise TypeError(f"entry singular_points {points!r} is not an "
@@ -186,14 +184,21 @@ class Catalog(NamedTuple):
             kind, params, entries = doc["catalog"], doc["params"], doc["entries"]
             if type(params) is not dict:
                 raise TypeError(f"params {params!r} is not an object")
-            count = {"maps": "n_edges", "saddle-node": "n_saddles",
-                     "saddle-connection": "n_saddles"}.get(kind)
+            # per kind: count key, mark kinds, edges an entry has beyond the count
+            count, marks, extra = {
+                "saddle-node": ("n_saddles", ["source", "sink"], 0),
+                "saddle-connection": ("n_saddles", ["t"], 1),
+                "maps": ("n_edges", [None], 0)}.get(kind, (None, [], 0))
             if (len(doc), set(params), type(entries)) != (
                     4, {count, "allow_reflection"}, list):
                 raise TypeError(f"{kind!r} catalog keys {sorted(doc)}, params "
                                 f"{sorted(params)} or entries are not the writer's")
-            return cls(kind, dict(params), tuple(
-                CatalogEntry.from_dict(d) for d in entries))
+            n, entries = params[count], tuple(map(CatalogEntry.from_dict, entries))
+            if (type(n), type(params["allow_reflection"])) != (int, bool) or any(
+                    e.n_edges != n + extra or (e.mark and type(e.mark) is dict and
+                        e.mark["kind"]) not in marks for e in entries):
+                raise TypeError(f"{kind!r} {params} are mistyped or not its entries'")
+            return cls(kind, dict(params), entries)
         except (AttributeError, KeyError, RecursionError, TypeError) as exc:
             raise ValueError(f"malformed catalog: {exc!r}") from exc
 
@@ -238,17 +243,16 @@ def build_bifurcation_catalog(kind: str, n_saddles: int,
     )
 
 
-def resolve(entry: CatalogEntry, maps: dict):
+def resolve(entry: CatalogEntry, maps: dict, labels: dict):
     """The code an entry's token names and its flow: the ``MarkedMap``, or
     ``(map, None)`` for an unmarked token.  ValueError unless the token is
-    sound, its mark is legal on its map and the entry's ``mark`` field and
-    cell counts are its map's.  ``maps`` caches built maps for
-    ``parse_token``."""
+    sound, its mark is legal on its map, the entry's ``mark`` field and
+    cell counts are its map's and its ``paper_label`` is the token's in
+    ``labels``.  ``maps`` caches built maps for ``parse_token``."""
     code, m, dart = parse_token(entry.code, maps)
     mark = entry.mark
-    # the mark is also spelled as a str kind and an int dart, not 0.0 or false
-    if mark != _mark_field(code.mark) or mark is not None and (
-            type(mark["kind"]), type(mark["dart"])) != (str, int):
+    # the mark's dart is also spelled as an int, not as 0.0 or false
+    if mark != _mark_field(code.mark) or mark and type(mark["dart"]) is not int:
         raise ValueError(
             f"entry mark {entry.mark} does not match its code {entry.code!r}")
     counts = (entry.n_edges, entry.n_vertices, entry.n_faces,
@@ -259,6 +263,9 @@ def resolve(entry: CatalogEntry, maps: dict):
             type(v) is int for v in (*counts[:3], *counts[3])):
         raise ValueError(
             f"entry counts {counts} do not match its code {entry.code!r}")
+    if entry.paper_label != labels.get(entry.code):
+        raise ValueError(f"entry paper_label {entry.paper_label!r} is not "
+                         f"{labels.get(entry.code)!r}, the label of {entry.code!r}")
     return code, (m, None) if dart is None else MarkedMap(
         m, MARK_CLASSES[code.mark[0]](dart))
 
@@ -475,19 +482,16 @@ def diagram_to_dict(mm: MarkedMap, records: dict) -> dict:
 def export_entries(entries, fmt: str) -> str:
     """Serialize catalog entries as json, dot or diagram-json text.
 
-    Every format first resolves each entry's code token and reads its
-    ``paper_label`` against the label file, so an invalid token, a mark
-    that is illegal on its map, another label or a code that does not come
-    after the previous entry's raises ValueError.  Tokens of one map share
-    its build and check, and the caches live for this call only.
+    Every format first resolves each entry against the label file, so an
+    invalid token, a mark that is illegal on its map, another label or a
+    code that does not come after the previous entry's raises ValueError.
+    Tokens of one map share its build and check, and the caches live for
+    this call only.
     """
     maps, labels, flows, last = {}, load_paper_labels(), [], ()
     for e in entries:
-        code, flow = resolve(e, maps)
+        code, flow = resolve(e, maps, labels)
         flows.append(flow)
-        if e.paper_label != labels.get(e.code):
-            raise ValueError(f"entry paper_label {e.paper_label!r} is not "
-                             f"{labels.get(e.code)!r}, the label of {e.code!r}")
         if code.sort_key <= last:
             raise ValueError(f"entry {e.code!r} is repeated or out of code order")
         last = code.sort_key

@@ -98,8 +98,6 @@ class SeparatrixDiagram(NamedTuple):
             outs[s] += 1
             hyper_in[t] += kinds[s] != "saddle"
             hyper_out[s] += kinds[t] != "saddle"
-            if kinds[s] == "sink" or kinds[t] == "source":
-                issues.append(f"arc {arc} leaves a sink or enters a source")
             if kinds[s] == "source" and kinds[t] == "sink":
                 issues.append(f"arc {arc} joins a source to a sink directly")
             if kinds[s] == kinds[t] == "saddle":

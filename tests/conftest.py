@@ -1,9 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sphereflows
 from sphereflows import CombinatorialMap
 from sphereflows.combmap import sphere_failures
 
 from oracles import perm_from_cycles
+
+
+def package_env(**env):
+    """``os.environ`` plus ``env``, with ``PYTHONPATH`` an absolute path to
+    this package, so that a child process imports it from any cwd."""
+    return dict(os.environ, **env,
+                PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
+
+
+def run_cli(*args, cwd=None, stdout=subprocess.PIPE, check=False, **env):
+    """Run ``python -m sphereflows *args`` in a child process, with ``env``
+    added to its environment; stderr, and stdout unless redirected, are
+    captured as text."""
+    return subprocess.run([sys.executable, "-m", "sphereflows", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          cwd=cwd, check=check, env=package_env(**env))
 
 
 def build_named_maps():

@@ -9,15 +9,10 @@ machinery.  The stated values themselves stay in `catalog.PAPER_EXPECTED_*`
 and in the `sphereflows verify-paper` report.
 """
 
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import sphereflows
 from sphereflows import (GenerationConfig, MarkedMap, TMark,
                          enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
@@ -30,7 +25,7 @@ from sphereflows.combmap import sphere_failures
 from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
                                FAR_SIDE_TWO_EDGES)
 
-from conftest import build_named_maps
+from conftest import build_named_maps, run_cli
 from oracles import (maps_isomorphic, marked_isomorphic, rooted_count,
                      source_class_count, tutte_rooted)
 
@@ -298,15 +293,6 @@ def test_criterion_6_every_enumerated_object():
 
 # -- criterion 7: determinism -------------------------------------------------
 
-def run_cli(args, cwd):
-    # an absolute path, so that the package imports from any cwd
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "sphereflows", *args],
-                          capture_output=True, text=True, cwd=cwd, check=True,
-                          env=env)
-
-
 @pytest.mark.parametrize("command", [
     ("maps", "3"),
     ("maps", "2", "--strategy", "brute"),
@@ -321,7 +307,8 @@ def test_criterion_7_cli_determinism(command, tmp_path):
         d = tmp_path / sub
         d.mkdir()
         out = d / "out.json"
-        res = run_cli([*command, "--jobs", jobs, "--out", str(out)], cwd=d)
+        res = run_cli(*command, "--jobs", jobs, "--out", str(out), cwd=d,
+                      check=True)
         outputs.append((out.read_bytes(),
                         res.stdout.replace(str(out), "OUT")))
     ok = outputs[0] == outputs[1]
@@ -332,12 +319,12 @@ def test_criterion_7_cli_determinism(command, tmp_path):
 
 def test_criterion_7_export_determinism(tmp_path):
     catalog = tmp_path / "maps.json"
-    run_cli(["maps", "2", "--out", str(catalog)], cwd=tmp_path)
+    run_cli("maps", "2", "--out", str(catalog), cwd=tmp_path, check=True)
     texts = []
     for sub in ("x", "y"):
         out = tmp_path / sub
-        run_cli(["export", str(catalog), "--format", "dot",
-                 "--out", str(out)], cwd=tmp_path)
+        run_cli("export", str(catalog), "--format", "dot",
+                "--out", str(out), cwd=tmp_path, check=True)
         texts.append(out.read_bytes())
     assert report_line("7", texts[0] == texts[1],
                        "`export --format dot` byte-identical across runs")

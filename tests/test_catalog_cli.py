@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import sphereflows
 from sphereflows import (GenerationConfig, MarkedMap, SinkMark, SourceMark,
                          TMark, cli, flow_classes, generate_maps, realize)
 from sphereflows.catalog import (Catalog, CatalogEntry, PAPER_EXPECTED_FLOWS,
@@ -22,16 +21,8 @@ from sphereflows.marks import (CONNECTED_AFTER_CUT, MAX_SADDLES,
                                SN_MIN_SADDLES, T_MIN_SADDLES,
                                saddle_connection_census)
 
+from conftest import package_env, run_cli
 from oracles import SADDLE_COUNTS_OUT_OF_RANGE, source_class_count
-
-
-def run_cli(*args, cwd=None, stdout=subprocess.PIPE, **env):
-    # an absolute path, so that the package imports from any cwd
-    env = dict(os.environ, **env,
-               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "sphereflows", *args],
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          cwd=cwd, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +72,9 @@ class TestCatalog:
                                                        for i in range(13, 17)}
 
     def test_marked_summary_matches_realize(self, bifs2):
+        labels = load_paper_labels()
         for e in bifs2.entries:
-            mm = resolve(e, {})[1]
+            mm = resolve(e, {}, labels)[1]
             assert realize(mm).point_counts() == e.singular_points
             assert e.mark["kind"] == mm.mark.kind
 
@@ -183,13 +175,14 @@ class TestExports:
     def test_dot_of_chain(self, named):
         catalog = build_map_catalog(GenerationConfig(2))
         entry = catalog.entry(named["chain2"].canonical_code().token())
-        dot = entry_to_dot(entry, resolve(entry, {})[1])
+        dot = entry_to_dot(entry, resolve(entry, {}, load_paper_labels())[1])
         assert dot.count(" -- ") == 2
         assert dot.count("[degree=") == 3
 
     def test_dot_marks_annotated(self, bifs2):
         marked = [e for e in bifs2.entries if e.mark["kind"] == "source"]
-        dot = entry_to_dot(marked[0], resolve(marked[0], {})[1])
+        flow = resolve(marked[0], {}, load_paper_labels())[1]
+        dot = entry_to_dot(marked[0], flow)
         assert 'mark="source endpoint' in dot
 
     def test_diagram_json_lists_three_points(self, named):
@@ -408,14 +401,11 @@ REPLAY = Path(__file__).resolve().parent.parent / "censusbench" / "replay.py"
 def test_traced_replay_records_every_layer(command, tmp_path):
     # the traced benchmark wraps the public names each layer calls in the
     # next; a deleted or bypassed name shows here instead of in its runs
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
-
     def replay(*args):
         spans = tmp_path / "spans.json"
         res = subprocess.run([sys.executable, str(REPLAY), str(spans), *args],
                              capture_output=True, text=True, cwd=tmp_path,
-                             env=env)
+                             env=package_env())
         assert res.returncode == 0, res.stderr
         doc = json.loads(spans.read_text().splitlines()[0])
         assert doc["rc"] == 0
@@ -545,10 +535,14 @@ def test_export_of_illegal_mark_exits_2(case, tmp_path):
         kind, label = token.rpartition("m:")[2].split(",")
         return {"kind": kind, "dart": int(label)}
 
-    # each entry carries its token's label, so that only the mark is wrong
+    # each entry carries its token's label and the document its tokens'
+    # kind and saddle count, so that only the mark is wrong
     labels = load_paper_labels()
-    doc = {"schema_version": 1, "catalog": "saddle-node",
-           "params": {"n_saddles": 1, "allow_reflection": True},
+    t = mark_field(entries[0][0])["kind"] == "t"
+    doc = {"schema_version": 1,
+           "catalog": "saddle-connection" if t else "saddle-node",
+           "params": {"n_saddles": entries[0][1]["n_edges"] - t,
+                      "allow_reflection": True},
            "entries": [{"code": token, **counts, "mark": mark_field(token),
                         "singular_points": {}, "paper_label": labels.get(token)}
                        for token, counts in entries]}
@@ -652,13 +646,18 @@ MISTYPED_FIELDS = {
     "paper_label-other": ("paper_label", "Fig3:4"),
     "paper_label-int": ("paper_label", 3),
     "unknown-field": ("colour", "red"),
+    "mark-list": ("mark", ["source", 0]),
+    "mark-string": ("mark", "source"),
+    "mark-number": ("mark", 0),
+    "mark-true": ("mark", True),
 }
 
 
 # document keys other than the writer's: entries that are no list, a key
 # the format does not define at the top level or in params, params without
 # the saddle count or with the maps' edge count, and a kind the writer does
-# not write
+# not write; or a kind, count or mode that is mistyped or that the entries'
+# marks and edges contradict ("maps3-" damages the three-edge map catalog)
 DOCUMENT_KEYS = {
     "entries-object": lambda doc: doc.update(entries={}),
     "unknown-top-level-key": lambda doc: doc.update(colour="red"),
@@ -668,6 +667,20 @@ DOCUMENT_KEYS = {
     "params-n_edges": lambda doc: doc["params"].update(
         n_edges=doc["params"].pop("n_saddles")),
     "catalog-bogus": lambda doc: doc.update(catalog="bogus"),
+    "saddle-connection-99": lambda doc: doc.update(
+        catalog="saddle-connection", params={"n_saddles": 99,
+                                             "allow_reflection": True}),
+    "n_saddles-3": lambda doc: doc["params"].update(n_saddles=3),
+    "n_saddles-true": lambda doc: doc["params"].update(n_saddles=True),
+    "n_saddles-float": lambda doc: doc["params"].update(n_saddles=2.0),
+    "allow_reflection-yes": lambda doc: doc["params"].update(
+        allow_reflection="yes"),
+    "allow_reflection-1": lambda doc: doc["params"].update(allow_reflection=1),
+    "maps3-n_edges-4": lambda doc: doc["params"].update(n_edges=4),
+    "maps3-saddle-node": lambda doc: doc.update(
+        catalog="saddle-node", params={
+            "n_saddles": doc["params"]["n_edges"],
+            "allow_reflection": doc["params"]["allow_reflection"]}),
 }
 
 
@@ -682,7 +695,7 @@ DISORDERED = {
 @pytest.mark.parametrize("damage",
                          [*MISTYPED_FIELDS, *DOCUMENT_KEYS, *DISORDERED,
                           "deeply-nested"])
-def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
+def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2, maps3):
     doc = json.loads(bifs2.dumps())
     entry = doc["entries"][0]
     assert (entry["code"], entry["paper_label"]) == (
@@ -694,8 +707,11 @@ def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
         # list is then rejected as not a catalog
         text, prefix = "[" * 1000 + "]" * 1000, malformed + "RecursionError("
     elif damage in DOCUMENT_KEYS:
+        if damage.startswith("maps3-"):
+            doc = json.loads(maps3.dumps())
         DOCUMENT_KEYS[damage](doc)
-        text, prefix = json.dumps(doc), malformed + "TypeError("
+        text = json.dumps(doc)
+        prefix = malformed + f'TypeError("{doc["catalog"]!r} '
     elif damage in DISORDERED:
         doc["entries"] = DISORDERED[damage](doc["entries"])
         text = json.dumps(doc)
@@ -707,11 +723,15 @@ def test_export_of_mistyped_catalog_exits_2(damage, tmp_path, bifs2):
             entry["singular_points"] if key == "saddle" else entry)
         holder[key] = value
         text = json.dumps(doc)
-        prefix = ("error: entry paper_label " if key == "paper_label"
-                  else malformed)
+        prefix = {"paper_label": "error: entry paper_label ",
+                  "mark": malformed + "TypeError(\"'saddle-node' {"}.get(
+                      key, malformed)
     catalog_path.write_text(text)
+    # a --code hit reads the whole document too
+    hit = ("--code", entry["code"]) if damage == "saddle-connection-99" else ()
     for fmt in ("json", "dot", "diagram-json"):
-        res = run_cli("export", str(catalog_path), "--format", fmt, cwd=tmp_path)
+        res = run_cli("export", str(catalog_path), "--format", fmt, *hit,
+                      cwd=tmp_path)
         assert res.returncode == 2, fmt
         assert len(res.stderr.splitlines()) == 1, fmt
         assert res.stderr.startswith(prefix), fmt
@@ -728,6 +748,29 @@ def test_label_on_an_unlabelled_entry_is_rejected():
     for fmt in ("json", "dot", "diagram-json"):
         with pytest.raises(ValueError, match="^entry paper_label 'Fig3:3' "):
             export_entries([entry._replace(paper_label="Fig3:3")], fmt)
+
+
+# one per-entry defect each, as a change of the entry's fields, and the
+# start of the error resolve raises for it
+ENTRY_DEFECTS = {
+    "paper_label-other": (lambda e: {"paper_label": "other"},
+                          "entry paper_label "),
+    "mark-next-dart": (lambda e: {"mark": {**e.mark, "dart": e.mark["dart"] + 1}},
+                       "entry mark "),
+    "mark-dart-false": (lambda e: {"mark": {**e.mark, "dart": False}},
+                        "entry mark "),
+    "n_vertices-99": (lambda e: {"n_vertices": 99}, "entry counts "),
+}
+
+
+@pytest.mark.parametrize("defect", list(ENTRY_DEFECTS))
+def test_resolve_rejects_each_entry_defect(defect, bifs2):
+    labels = load_paper_labels()
+    change, start = ENTRY_DEFECTS[defect]
+    for e in bifs2.entries:
+        resolve(e, {}, labels)
+        with pytest.raises(ValueError, match=f"^{start}"):
+            resolve(e._replace(**change(e)), {}, labels)
 
 
 @pytest.mark.parametrize("reflect", [True, False])
@@ -816,13 +859,15 @@ def fresh_diagram(dia):
     *(("saddle-connection", n) for n in range(2, PAPER_MAX_SADDLES + 1))])
 def test_diagram_json_shares_records_and_keeps_stdlib_bytes(kind, n, reflect):
     entries = build_bifurcation_catalog(kind, n, reflect).entries
-    fresh = [{"code": e.code, "diagram": fresh_diagram(realize(resolve(e, {})[1]))}
+    labels = load_paper_labels()
+    fresh = [{"code": e.code,
+              "diagram": fresh_diagram(realize(resolve(e, {}, labels)[1]))}
              for e in entries]
     assert export_entries(entries, "diagram-json") == stdlib_text(fresh)
     # equal points and equal arcs are one dict; the two one-saddle
     # diagrams have none in common
     records = {}
-    docs = [diagram_to_dict(resolve(e, {})[1], records) for e in entries]
+    docs = [diagram_to_dict(resolve(e, {}, labels)[1], records) for e in entries]
     for field in ("points", "separatrices"):
         dicts = [r for d in docs for r in d[field]]
         distinct = {json.dumps(r, sort_keys=True) for r in dicts}

@@ -188,13 +188,11 @@ BROKEN_DIAGRAMS = {
         ["point ids are not distinct"]),
     "arc-enters-source": (
         hand_diagram(SOURCE_SN[0], SOURCE_SN[1] + [(4, 1)]),
-        [f"arc {arc_text(4, 1)} leaves a sink or enters a source",
-         "source 1 has 1 in / 1 out, wants 0 in / any out",
+        ["source 1 has 1 in / 1 out, wants 0 in / any out",
          "saddle-node-source 4 has 1 in / 3 out hyperbolic, wants 1 in / 2 out"]),
     "arc-leaves-sink": (
         hand_diagram(SINK_SN[0] + ("sink",), SINK_SN[1] + [(0, 3)]),
-        [f"arc {arc_text(0, 3)} leaves a sink or enters a source",
-         "sink 0 has 1 in / 1 out, wants any in / 0 out"]),
+        ["sink 0 has 1 in / 1 out, wants any in / 0 out"]),
     "source-to-sink": (
         hand_diagram(SOURCE_SN[0], SOURCE_SN[1] + [(0, 2)]),
         [f"arc {arc_text(0, 2)} joins a source to a sink directly"]),

@@ -1,14 +1,11 @@
 """Import weight of the CLI and the semantics of the package's record types."""
 
-import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import sphereflows
 from sphereflows import (CanonicalCode, GenerationConfig, MarkedMap, SinkMark,
                          SourceMark, TMark, enumerate_sink_marks,
                          enumerate_source_marks, enumerate_t_marks,
@@ -16,6 +13,8 @@ from sphereflows import (CanonicalCode, GenerationConfig, MarkedMap, SinkMark,
                          saddle_node_census)
 from sphereflows.catalog import (CensusReport, ReportRow,
                                  build_bifurcation_catalog)
+
+from conftest import package_env
 
 HEAVY_MODULES = ("dataclasses", "concurrent.futures", "multiprocessing")
 
@@ -25,10 +24,8 @@ def modules_loaded_by(statement):
     modules loaded at start-up are not the package's doing."""
     code = ("import sys; before = set(sys.modules); " + statement
             + "; print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(sphereflows.__file__).resolve().parent.parent))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
+                         text=True, env=package_env())
     assert res.returncode == 0, res.stderr
     return res.stdout.split()
 
