@@ -269,34 +269,25 @@ def saddle_node_census(n_saddles: int, *,
     )
 
 
-CONNECTED_AFTER_CUT = "perpendicular-cut-keeps-edges-connected"
-FAR_SIDE_ONE_EDGE = "perpendicular-cut-far-side-1-edge"
-FAR_SIDE_TWO_EDGES = "perpendicular-cut-far-side-2-edges"
-
-
-def t_connection_category(mm: MarkedMap) -> str:
-    """Where the perpendicular edge sits: cut it and look at the far side.
-
-    Cutting the marked edge either leaves all remaining edges in one
-    component (including the case of a pendant perpendicular edge), or
-    separates a far component, away from the T-vertex, carrying one edge or
-    two or more edges; the last bucket is named "2 edges" after the
-    published census, where it holds exactly two for up to four saddles.
-    The walk starts at the far end of the cut edge and never crosses it;
-    it reaches the T-vertex exactly when the rest stays connected.
+def t_connection_category(mm: MarkedMap) -> int:
+    """Where the perpendicular edge sits: cut it, and count the edges of the
+    far component, away from the T-vertex; 0 when all remaining edges stay
+    in one component (a pendant perpendicular edge included).  The walk
+    starts at the far end of the cut edge and never crosses it; it reaches
+    the T-vertex exactly when the rest stays connected.
     """
     if mm.mark.kind != "t":
         raise InvalidMarkError("category applies to saddle-connection marks")
     m, p = mm.map, mm.mark.dart
     seen = reached(m.sigma, p ^ 1, {p})
-    far_edges = len(seen) // 2 - 1
-    if far_edges == 0 or m.sigma[p] in seen or m.sigma[m.sigma[p]] in seen:
-        return CONNECTED_AFTER_CUT
-    return FAR_SIDE_ONE_EDGE if far_edges == 1 else FAR_SIDE_TWO_EDGES
+    if m.sigma[p] in seen or m.sigma[m.sigma[p]] in seen:
+        return 0
+    return len(seen) // 2 - 1
 
 
 class SaddleConnectionCensus(NamedTuple):
-    """Class counts of saddle-connection flows with a given saddle count."""
+    """Class counts of saddle-connection flows with a given saddle count, in
+    total and by :func:`t_connection_category`, every category 0..n - 2."""
 
     n_saddles: int
     singular_points: int
@@ -307,8 +298,7 @@ class SaddleConnectionCensus(NamedTuple):
 def saddle_connection_census(n_saddles: int, *,
                              allow_reflection: bool = True) -> SaddleConnectionCensus:
     classes = flow_classes("saddle-connection", n_saddles, allow_reflection)
-    by_category = {CONNECTED_AFTER_CUT: 0, FAR_SIDE_ONE_EDGE: 0,
-                   FAR_SIDE_TWO_EDGES: 0}
+    by_category = dict.fromkeys(range(n_saddles - 1), 0)
     for mm in classes:
         by_category[t_connection_category(mm)] += 1
     return SaddleConnectionCensus(

@@ -11,6 +11,8 @@ left and right of a dart swap when the orientation flips.
 no comparison: the reference for the early-abort kernel in ``combmap``.
 ``rooted_sum`` weighs each class by ``2E/|Aut+|``, counting automorphisms
 with ``bfs_trace``, for comparison with Tutte's closed form.
+``sensed_source_classes``, ``sensed_t_classes`` and ``sensed_map_classes``
+count sensed classes from Tutte's numbers alone.
 ``rooted_any_genus`` counts the rooted maps of any genus, the rotations
 the brute strategy enumerates before its sphere filter.
 ``mirror_fixed`` decides from ``all_traces`` alone whether a marked map is
@@ -240,6 +242,49 @@ def sensed_source_classes(n):
                                  for i in range(n))
 
 
+def sensed_t_classes(n):
+    """Saddle-connection classes with ``n`` saddles up to orientation-
+    preserving homeomorphism, by far-side edge count k = 0..n - 2, from
+    Tutte's numbers alone: ``sensed_source_classes(n)`` for k = 0 and
+    ``M(k)·M(n - 1 - k)`` for k >= 1, with ``M`` = ``tutte_rooted``.
+
+    Measured, not proved: the formula equals the rooted-map stream split by
+    ``far_side_edges`` for n = 2..6.  It suggests a bijection between
+    T-rooted maps with n + 1 edges and rooted maps with n edges whose root
+    is not a loop with one side empty, a far side of k edges matching a
+    root loop with k edges inside.
+    """
+    far = (tutte_rooted(k) * tutte_rooted(n - 1 - k) for k in range(1, n - 1))
+    return (sensed_source_classes(n), *far)
+
+
+def sensed_map_classes(e):
+    """Planar maps with ``e`` edges up to orientation-preserving
+    homeomorphism, from Tutte's numbers alone, by a Burnside sum over the
+    rotations in the manner of Liskovets ("A census of nonisomorphic planar
+    maps", 1981):
+    ``(M(e) + sum(k | e, k < e) phi(e/k)·C(2k, k)·3^k + h(e)) / 2e``.
+
+    A rotation of order e/k has a quotient map with k edges, and ``h``
+    counts the half-turns about an edge midpoint: ``2·3^j·C(2j + 1, j)``
+    for e = 2j + 1 and ``3^(j - 1)·C(2j, j - 1)`` for e = 2j.  Measured, not
+    proved: the shapes of the last two terms were fitted on e <= 7 (OEIS
+    A000087).
+    """
+    j = e // 2
+    half_turns = (2 * 3 ** j * math.comb(2 * j + 1, j) if e % 2
+                  else 3 ** (j - 1) * math.comb(2 * j, j - 1))
+    rotations = sum(_totient(e // k) * math.comb(2 * k, k) * 3 ** k
+                    for k in range(1, e) if e % k == 0)
+    total = tutte_rooted(e) + rotations + half_turns
+    assert total % (2 * e) == 0
+    return total // (2 * e)
+
+
+def _totient(n):
+    return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
+
+
 def rooted_any_genus(e):
     """Rooted maps with ``e`` edges on orientable surfaces of any genus
     (Walsh & Lehman, "Counting rooted maps by genus I", 1972; OEIS
@@ -323,6 +368,7 @@ def rooted_maps(n):
     return tuple(levels)
 
 
+@cache
 def map_classes(n_edges):
     """Sensed and unsensed classes of planar maps with ``n_edges`` edges
     (Liskovets, "A census of nonisomorphic planar maps", 1981).
@@ -344,6 +390,7 @@ def map_classes(n_edges):
 _ROOT_MARK = {"source": SourceMark, "sink": SinkMark, "t": TMark}
 
 
+@cache
 def rooted_flows(n_edges, kind):
     """``(marked map, mirror_fixed)`` per sensed class of flows whose mark of
     ``kind`` sits on a map with ``n_edges`` edges.
@@ -369,7 +416,7 @@ def rooted_flows(n_edges, kind):
         if legal:
             fixed = rooted_relabel(_inv(sigma), int(kind == "sink")) == sigma
             out.append((MarkedMap(m, _ROOT_MARK[kind](0)), fixed))
-    return out
+    return tuple(out)
 
 
 def far_side_edges(mm):

@@ -10,7 +10,7 @@ from sphereflows.combmap import normal_alpha, sphere_failures
 from sphereflows.generate import MAX_EDGES, MIN_EDGES
 
 from oracles import (all_traces, map_classes, rooted_any_genus, rooted_count,
-                     rooted_maps, rooted_sum, tutte_rooted)
+                     rooted_maps, rooted_sum, sensed_map_classes, tutte_rooted)
 
 
 # published counts hold through three edges; the four- and five-edge values
@@ -249,6 +249,17 @@ def test_map_classes_count_rooted_maps():
         engine = [generate_maps(GenerationConfig(e, reflection))
                   for e in range(1, 6)]
         assert (*map(len, engine), len(six_edge_maps(reflection))) == counts
+
+
+def test_sensed_map_classes_in_closed_form():
+    # the Burnside sum against the rooted-map stream, the engine at every
+    # edge count it supports and the grown six-edge level
+    assert [sensed_map_classes(e) for e in range(1, 7)] == [
+        map_classes(e)[0] for e in range(1, 7)]
+    for e in range(MIN_EDGES, MAX_EDGES + 1):
+        engine = generate_maps(GenerationConfig(e, allow_reflection=False))
+        assert sensed_map_classes(e) == len(engine), e
+    assert sensed_map_classes(6) == len(six_edge_maps(False)) == 2071
 
 
 def test_unknown_strategy():

@@ -11,12 +11,12 @@ from sphereflows import (CanonicalCode, CombinatorialMap, GenerationConfig,
                          marked_map_from_code, reverse,
                          saddle_connection_census, saddle_node_census,
                          t_connection_category)
-from sphereflows.marks import (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE,
-                               FAR_SIDE_TWO_EDGES, _mark_classes)
+from sphereflows.marks import (MAX_SADDLES, T_MIN_SADDLES, _mark_classes)
 
 from oracles import (SADDLE_COUNTS_OUT_OF_RANGE, far_side_edges,
                      marked_classes, mirror_fixed, relabel, rooted_flows,
-                     sensed_source_classes, source_class_count)
+                     sensed_source_classes, sensed_t_classes,
+                     source_class_count)
 from test_generate import six_edge_maps
 
 
@@ -281,9 +281,7 @@ class TestTMarks:
         # whose perpendicular edge disconnects the graph
         census = saddle_connection_census(3)
         assert census.total == 24
-        assert census.by_category == {CONNECTED_AFTER_CUT: 20,
-                                      FAR_SIDE_ONE_EDGE: 4,
-                                      FAR_SIDE_TWO_EDGES: 0}
+        assert census.by_category == {0: 20, 1: 4}
 
     def test_three_saddles_matches_exhaustive_search(self):
         total = 0
@@ -297,30 +295,33 @@ class TestTMarks:
 
     def test_splitting_class_lives_on_the_chair_tree(self):
         splitting = [mm for mm in enumerate_t_marks(3)
-                     if t_connection_category(mm) != CONNECTED_AFTER_CUT]
+                     if t_connection_category(mm) != 0]
         degseqs = {mm.map.degree_sequence() for mm in splitting}
         assert (3, 2, 1, 1, 1) in degseqs
 
     def test_four_saddles_regression(self):
         census = saddle_connection_census(4)
         assert census.total == 165
-        assert census.by_category == {CONNECTED_AFTER_CUT: 135,
-                                      FAR_SIDE_TWO_EDGES: 16,
-                                      FAR_SIDE_ONE_EDGE: 14}
+        assert census.by_category == {0: 135, 2: 16, 1: 14}
 
     @pytest.mark.parametrize("reflection", [True, False])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(T_MIN_SADDLES, MAX_SADDLES + 1))
     def test_category_matches_union_find(self, n, reflection):
-        expected = {0: CONNECTED_AFTER_CUT, 1: FAR_SIDE_ONE_EDGE}
         for mm in enumerate_t_marks(n, allow_reflection=reflection):
-            far = far_side_edges(mm)
-            assert t_connection_category(mm) \
-                == expected.get(far, FAR_SIDE_TWO_EDGES), mm
+            assert t_connection_category(mm) == far_side_edges(mm), mm
+
+    @pytest.mark.parametrize("reflection", [True, False])
+    @pytest.mark.parametrize("n", range(T_MIN_SADDLES, MAX_SADDLES + 1))
+    def test_census_counts_cover_its_classes(self, n, reflection):
+        # a far side holds at most the n + 1 edges less the T-vertex's three
+        census = saddle_connection_census(n, allow_reflection=reflection)
+        assert list(census.by_category) == list(range(n - 1))
+        assert sum(census.by_category.values()) == census.total
 
     def test_category_on_pendant_perpendicular(self, named):
         # Y-graph: cutting the perpendicular leg strands a bare vertex
         mm = MarkedMap(named["star3"], TMark(0))
-        assert t_connection_category(mm) == CONNECTED_AFTER_CUT
+        assert t_connection_category(mm) == 0
 
     @pytest.mark.parametrize("n", out_of_range("saddle-connection"))
     def test_out_of_range(self, n):
@@ -398,10 +399,8 @@ SN_ROOTED_COUNTS = {1: (1, 1, 1), 2: (5, 5, 5), 3: (32, 26, 20),
                     4: (234, 163, 92)}
 T_ROOTED_COUNTS = {2: (5, 4, 3), 3: (36, 24, 12), 4: (270, 165, 60)}
 # sensed, unsensed and mirror-fixed T classes with 4 saddles by category
-T4_ROOTED_BY_CATEGORY = {CONNECTED_AFTER_CUT: (234, 135, 36),
-                         FAR_SIDE_ONE_EDGE: (18, 14, 10),
-                         FAR_SIDE_TWO_EDGES: (18, 16, 14)}
-FAR_SIDE_CATEGORY = (CONNECTED_AFTER_CUT, FAR_SIDE_ONE_EDGE, FAR_SIDE_TWO_EDGES)
+T4_ROOTED_BY_CATEGORY = {0: (234, 135, 36), 1: (18, 14, 10),
+                         2: (18, 16, 14)}
 
 
 def _sensed_unsensed_fixed(flows):
@@ -424,10 +423,12 @@ def test_saddle_node_census_counts_rooted_flows(kind, n):
 
 
 def _by_category(flows):
-    """``_sensed_unsensed_fixed`` of rooted T flows per census category."""
-    return {category: _sensed_unsensed_fixed(
-                [f for f in flows if min(far_side_edges(f[0]), 2) == far])
-            for far, category in enumerate(FAR_SIDE_CATEGORY)}
+    """``_sensed_unsensed_fixed`` of rooted T flows per census category, the
+    far side's edge count 0..n - 2 for n saddles on ``n + 1`` edges."""
+    n_edges = flows[0][0].map.n_edges
+    return {far: _sensed_unsensed_fixed(
+                [f for f in flows if far_side_edges(f[0]) == far])
+            for far in range(n_edges - 2)}
 
 
 @pytest.mark.parametrize("n", sorted(T_ROOTED_COUNTS))
@@ -475,6 +476,19 @@ def test_rooted_t_flows_split_by_far_side_like_the_source_flows(n):
             1006, 76, 58, 80]
 
 
+@pytest.mark.parametrize("n", range(T_MIN_SADDLES, max(5, MAX_SADDLES) + 1))
+def test_sensed_t_classes_in_closed_form(n):
+    # Tutte's numbers by far-side edge count against the rooted stream,
+    # where it is fast, and the engine's sensed census, where it runs
+    expected = dict(enumerate(sensed_t_classes(n)))
+    if n <= 5:
+        flows = rooted_flows(n + 1, "t")
+        assert Counter(far_side_edges(mm) for mm, _ in flows) == expected
+    if n <= MAX_SADDLES:
+        census = saddle_connection_census(n, allow_reflection=False)
+        assert census.by_category == expected
+
+
 def test_eleven_point_saddle_node_counts_agree():
     # five saddles, one past the census limit: the rooted-map stream,
     # Tutte's numbers and the per-map enumerators over the five-edge maps
@@ -489,9 +503,8 @@ def test_eleven_point_saddle_node_counts_agree():
 
 
 # sensed, unsensed and mirror-fixed T classes with 5 saddles by category
-T5_ROOTED_BY_CATEGORY = {CONNECTED_AFTER_CUT: (1863, 1006, 149),
-                         FAR_SIDE_ONE_EDGE: (108, 76, 44),
-                         FAR_SIDE_TWO_EDGES: (189, 138, 87)}
+T5_ROOTED_BY_CATEGORY = {0: (1863, 1006, 149), 1: (108, 76, 44),
+                         2: (81, 58, 35), 3: (108, 80, 52)}
 
 
 def test_twelve_point_saddle_connection_counts_agree():
@@ -506,3 +519,5 @@ def test_twelve_point_saddle_connection_counts_agree():
                          for m in six_edge_maps(reflection)
                          for mm in _mark_classes(m, TMark, reflection))
         assert engine == {c: v[i] for c, v in by_category.items()}
+        if not reflection:
+            assert engine == dict(enumerate(sensed_t_classes(5)))
