@@ -37,7 +37,7 @@ from operator import attrgetter
 from .combmap import CombinatorialMap, canonical_code_for, sphere_failures
 
 MIN_EDGES = 1
-MAX_EDGES = 5
+MAX_EDGES = 6
 
 
 class EdgeCountOutOfRangeError(ValueError):

@@ -214,9 +214,7 @@ def reverse(mm: MarkedMap) -> MarkedMap:
 # censuses
 
 class SaddleNodeCensusRow(NamedTuple):
-    map_code: str
-    n_vertices: int
-    n_faces: int
+    map: CombinatorialMap
     n_source: int
     n_sink: int
 
@@ -236,8 +234,8 @@ class SaddleNodeCensus(NamedTuple):
 
     def source_by_vertex_count(self) -> dict:
         out: dict = {}
-        for row in self.rows:
-            out[row.n_vertices] = out.get(row.n_vertices, 0) + row.n_source
+        for m, n_source, _ in self.rows:
+            out[m.n_vertices] = out.get(m.n_vertices, 0) + n_source
         return out
 
 
@@ -253,13 +251,8 @@ def saddle_node_census(n_saddles: int, *,
     classes = flow_classes("saddle-node", n_saddles, allow_reflection)
     for m, group in groupby(classes, key=lambda mm: mm.map):
         kinds = [mm.mark.kind for mm in group]
-        rows.append(SaddleNodeCensusRow(
-            map_code=m.canonical_code(allow_reflection=allow_reflection).token(),
-            n_vertices=m.n_vertices,
-            n_faces=m.n_faces,
-            n_source=kinds.count("source"),
-            n_sink=kinds.count("sink"),
-        ))
+        rows.append(SaddleNodeCensusRow(m, kinds.count("source"),
+                                        kinds.count("sink")))
     return SaddleNodeCensus(
         n_saddles=n_saddles,
         singular_points=classes[0].n_singular_points,

@@ -101,7 +101,8 @@ def test_criterion_2_one_saddle_total():
 def test_criterion_2_two_saddle_decomposition():
     named = build_named_maps()
     census = saddle_node_census(2)
-    per_graph = {row.map_code: row.n_source for row in census.rows}
+    per_graph = {row.map.canonical_code().token(): row.n_source
+                 for row in census.rows}
     got = tuple(per_graph[named[name].canonical_code().token()]
                 for name in ("double_edge", "chain2", "segment_loop", "two_loops"))
     ok = (census.total == 10 and census.total_source == 5

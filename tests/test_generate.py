@@ -193,7 +193,7 @@ def test_gate_and_accept_match_the_full_rule(e, reflection):
         if code is not None:
             assert code == child.canonical_code(allow_reflection=reflection)
             accepted.add(code)
-    # six edges lie beyond GenerationConfig's range
+    # the six-edge level comes from six_edge_maps, grown once for every test
     grown = (six_edge_maps(reflection) if e == 5
              else generate_maps(GenerationConfig(e + 1, reflection)))
     assert sorted(accepted) == [m.canonical_code(allow_reflection=reflection)

@@ -194,7 +194,8 @@ class TestSaddleNodeCensus:
     def test_two_saddles(self, named):
         c = saddle_node_census(2)
         assert (c.total_source, c.total_sink, c.total) == (5, 5, 10)
-        per_graph = {row.map_code: row.n_source for row in c.rows}
+        per_graph = {row.map.canonical_code().token(): row.n_source
+                     for row in c.rows}
         assert per_graph[named["double_edge"].canonical_code().token()] == 1
         assert per_graph[named["chain2"].canonical_code().token()] == 2
         assert per_graph[named["segment_loop"].canonical_code().token()] == 2
@@ -212,8 +213,8 @@ class TestSaddleNodeCensus:
         assert (c.total_source, c.total_sink) == (163, 163)
         assert c.source_by_vertex_count() == {1: 0, 2: 25, 3: 70, 4: 56, 5: 12}
         sinks = {}
-        for row in c.rows:
-            sinks[row.n_vertices] = sinks.get(row.n_vertices, 0) + row.n_sink
+        for m, _, n_sink in c.rows:
+            sinks[m.n_vertices] = sinks.get(m.n_vertices, 0) + n_sink
         assert sinks == {1: 12, 2: 56, 3: 70, 4: 25, 5: 0}
 
     @pytest.mark.parametrize("reflection", [True, False])
@@ -221,9 +222,7 @@ class TestSaddleNodeCensus:
     def test_rows_match_per_map_enumerators(self, n, reflection):
         c = saddle_node_census(n, allow_reflection=reflection)
         expected = [
-            (m.canonical_code(allow_reflection=reflection).token(),
-             m.n_vertices, m.n_faces,
-             len(enumerate_source_marks(m, allow_reflection=reflection)),
+            (m, len(enumerate_source_marks(m, allow_reflection=reflection)),
              len(enumerate_sink_marks(m, allow_reflection=reflection)))
             for m in generate_maps(GenerationConfig(n, reflection))]
         assert [tuple(row) for row in c.rows] == expected
@@ -490,8 +489,8 @@ def test_sensed_t_classes_in_closed_form(n):
 
 
 def test_eleven_point_saddle_node_counts_agree():
-    # five saddles, one past the census limit: the rooted-map stream,
-    # Tutte's numbers and the per-map enumerators over the five-edge maps
+    # five saddles: the rooted-map stream, Tutte's numbers and the per-map
+    # enumerators over the five-edge maps
     for kind in ("source", "sink"):
         assert _sensed_unsensed_fixed(rooted_flows(5, kind)) == (1863, 1143, 423)
     assert sensed_source_classes(5) == 1863
@@ -508,8 +507,8 @@ T5_ROOTED_BY_CATEGORY = {0: (1863, 1006, 149), 1: (108, 76, 44),
 
 
 def test_twelve_point_saddle_connection_counts_agree():
-    # five saddles, one past the census limit: the T classes over the grown
-    # six-edge maps against the rooted-map stream and Burnside's lemma
+    # five saddles: the T classes over the grown six-edge maps against the
+    # rooted-map stream and Burnside's lemma
     flows = rooted_flows(6, "t")
     assert _sensed_unsensed_fixed(flows) == (2160, 1220, 280)
     by_category = _by_category(flows)

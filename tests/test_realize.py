@@ -11,6 +11,7 @@ from sphereflows import (CombinatorialMap, GenerationConfig,
                          flow_classes, generate_maps, realize,
                          saddle_connection_census, saddle_node_census)
 from sphereflows.catalog import build_bifurcation_catalog
+from sphereflows.marks import MAX_SADDLES, SN_MIN_SADDLES, T_MIN_SADDLES
 
 from oracles import relabel, sink_diagram_by_duality
 
@@ -234,6 +235,10 @@ BROKEN_DIAGRAMS = {
          "saddle 4 has 1 in / 1 out, wants 2 in / 2 out",
          "saddle-to-saddle arc without a recorded connection",
          "directed cycle among separatrices"]),
+    "self-loop": (
+        hand_diagram(SINK_SN[0] + ("saddle",), SINK_SN[1] + [(3, 3)] * 2),
+        ["saddle-to-saddle arc without a recorded connection",
+         "directed cycle among separatrices"]),
 }
 
 
@@ -278,6 +283,59 @@ class TestSinkMarksOnTheirOwnMap:
         # the count sees a map built the way the dual construction built it
         classes[-1].map.dual()
         assert len(built) == 1
+
+
+def cell_points(mm, dia):
+    """The point of every cell of ``mm``'s map, keyed ``("vertex", i)`` or
+    ``("face", i)``: a point stands for the vertex or face of the dart in its
+    origin, a saddle-node for the vertex (source) or face (sink) of the
+    marked dart, and a saddle on an edge for no cell."""
+    m, cells = mm.map, {}
+    for p in dia.points:
+        kind, d = p.origin
+        if kind == "edge":
+            assert p.kind == "saddle"
+            continue
+        if kind == "mark":
+            assert d == mm.mark.dart
+            kind = {"saddle-node-source": "vertex",
+                    "saddle-node-sink": "face"}[p.kind]
+        cell = (kind, (m.vertex_index if kind == "vertex" else m.face_index)[d])
+        assert cell not in cells, (mm, p)
+        cells[cell] = p.id
+    assert len(cells) == m.n_vertices + m.n_faces
+    return cells
+
+
+class TestSeparatricesFollowTheirDarts:
+    @pytest.mark.parametrize("allow_reflection", [True, False])
+    @pytest.mark.parametrize("kind,n", [
+        (kind, n)
+        for kind, low in (("saddle-node", SN_MIN_SADDLES),
+                          ("saddle-connection", T_MIN_SADDLES))
+        for n in range(low, MAX_SADDLES + 1)])
+    def test_every_arc_leaves_its_darts_vertex_or_enters_its_face(
+            self, kind, n, allow_reflection):
+        # a separatrix runs along its anchor dart d: in from d's vertex or out
+        # into d's face; in a T diagram the lower saddle's free separatrix
+        # falls into the face of the corner between the collinear darts,
+        # the face of sigma(sigma(p)), on the far side of the bar from p
+        classes = flow_classes(kind, n, allow_reflection)
+        assert classes
+        for mm in classes:
+            m, dia = mm.map, realize(mm)
+            cell = cell_points(mm, dia)
+            for arc in dia.separatrices:
+                d = arc.anchor
+                assert (arc.source == cell["vertex", m.vertex_index[d]]
+                        or arc.target == cell["face", m.face_index[d]]), \
+                    (mm, arc)
+            if dia.saddle_connection is not None:
+                lower, upper = dia.saddle_connection
+                corner = m.sigma[m.sigma[mm.mark.dart]]
+                free = [arc.target for arc in dia.separatrices
+                        if arc.source == lower and arc.target != upper]
+                assert free == [cell["face", m.face_index[corner]]], mm
 
 
 def pairing_relabeling(rng, n_edges):
